@@ -112,11 +112,17 @@ Snapshot decode_snapshot(const std::string& blob) {
   return snap;
 }
 
-void put_matrix(Writer& w, const linalg::MatrixD& m) {
-  w.u64(m.rows());
-  w.u64(m.cols());
-  for (std::size_t i = 0; i < m.size(); ++i) w.f64(m.data()[i]);
+namespace {
+template <typename Sink>
+void encode_matrix(Encoder<Sink>& e, const linalg::MatrixD& m) {
+  e.u64(m.rows());
+  e.u64(m.cols());
+  for (std::size_t i = 0; i < m.size(); ++i) e.f64(m.data()[i]);
 }
+}  // namespace
+
+void put_matrix(Writer& w, const linalg::MatrixD& m) { encode_matrix(w, m); }
+void put_matrix(Hasher& h, const linalg::MatrixD& m) { encode_matrix(h, m); }
 
 void get_matrix(Reader& r, linalg::MatrixD& m) {
   const std::uint64_t rows = r.u64();

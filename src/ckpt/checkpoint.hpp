@@ -99,7 +99,9 @@ struct CheckpointConfig {
 };
 
 /// Matrix helpers shared by the app StateCodecs: dims + row-major payload.
+/// The Hasher overload digests exactly the bytes the Writer one appends.
 void put_matrix(Writer& w, const linalg::MatrixD& m);
+void put_matrix(Hasher& h, const linalg::MatrixD& m);
 /// Reads a matrix written by put_matrix, replacing `m` (dims come from the
 /// snapshot; callers validate against expected shapes).
 void get_matrix(Reader& r, linalg::MatrixD& m);

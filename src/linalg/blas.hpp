@@ -167,10 +167,16 @@ constexpr double gemm_flops(double m, double n, double k) {
 }
 
 /// Blocked gemm (cache tiling); same result as gemm, same flop count.
-/// Row blocks of C are disjoint, so they run in parallel on the host
-/// thread pool; every C element is still produced by exactly one block in
-/// the same k0/j0 order, hence results are byte-identical to the serial
-/// loop for any thread count.
+///
+/// C is cut into independent output tiles, (row block of `block` rows) x
+/// (panel of `block` columns), and the tiles run in parallel on the host
+/// thread pool, one tile per chunk; the tile count depends only on the
+/// shape, never on the thread count. Within a tile every C element sees
+/// exactly the operation sequence of the serial loop: one beta scale, then
+/// one `crow[j] += (alpha * a(i, k)) * b(k, j)` per k in ascending order,
+/// each made by one kernel call on the element's column panel
+/// (crow + j0, j1 - j0). So results are byte-identical for any thread
+/// count, at every SIMD level, and under the FMA tier.
 template <typename T>
 void gemm_blocked(T alpha, const Matrix<T>& a, const Matrix<T>& b, T beta,
                   Matrix<T>& c, std::size_t block = 64) {
@@ -180,40 +186,41 @@ void gemm_blocked(T alpha, const Matrix<T>& a, const Matrix<T>& b, T beta,
   PRS_REQUIRE(block > 0, "block size must be positive");
   const std::size_t m = a.rows(), n = b.cols(), kk = a.cols();
   const std::size_t row_blocks = (m + block - 1) / block;
+  const std::size_t panels = (n + block - 1) / block;
   // Hoisted once: active_kernels() reads an atomic, and the level must not
   // change between chunks of one call anyway.
   const simd::Kernels& kn = simd::active_kernels();
   const bool fma = simd::fma_allowed();
-  exec::parallel_for(0, row_blocks, 1, [&](std::size_t rb0, std::size_t rb1) {
-    for (std::size_t rb = rb0; rb < rb1; ++rb) {
-      const std::size_t i0 = rb * block;
+  exec::parallel_for(0, row_blocks * panels, 1, [&](std::size_t t0,
+                                                    std::size_t t1) {
+    for (std::size_t t = t0; t < t1; ++t) {
+      const std::size_t i0 = (t / panels) * block;
       const std::size_t i1 = std::min(i0 + block, m);
+      const std::size_t j0 = (t % panels) * block;
+      const std::size_t j1 = std::min(j0 + block, n);
       for (std::size_t i = i0; i < i1; ++i) {
         T* crow = c.row(i);
         if constexpr (std::is_same_v<T, double>) {
-          kn.scale(crow, beta, n);
+          kn.scale(crow + j0, beta, j1 - j0);
         } else {
-          for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
+          for (std::size_t j = j0; j < j1; ++j) crow[j] *= beta;
         }
       }
       for (std::size_t k0 = 0; k0 < kk; k0 += block) {
         const std::size_t k1 = std::min(k0 + block, kk);
-        for (std::size_t j0 = 0; j0 < n; j0 += block) {
-          const std::size_t j1 = std::min(j0 + block, n);
-          for (std::size_t i = i0; i < i1; ++i) {
-            T* crow = c.row(i);
-            for (std::size_t k = k0; k < k1; ++k) {
-              const T aik = alpha * a(i, k);
-              const T* brow = b.row(k);
-              // crow[j] += aik * brow[j] is element-wise (one product, one
-              // add per C element, no cross-element reassociation), so the
-              // vector form is bit-identical to the scalar loop.
-              if constexpr (std::is_same_v<T, double>) {
-                (fma ? kn.axpy_acc_fast : kn.axpy_acc)(crow + j0, brow + j0,
-                                                       aik, j1 - j0);
-              } else {
-                for (std::size_t j = j0; j < j1; ++j) crow[j] += aik * brow[j];
-              }
+        for (std::size_t i = i0; i < i1; ++i) {
+          T* crow = c.row(i);
+          for (std::size_t k = k0; k < k1; ++k) {
+            const T aik = alpha * a(i, k);
+            const T* brow = b.row(k);
+            // crow[j] += aik * brow[j] is element-wise (one product, one
+            // add per C element, no cross-element reassociation), so the
+            // vector form is bit-identical to the scalar loop.
+            if constexpr (std::is_same_v<T, double>) {
+              (fma ? kn.axpy_acc_fast : kn.axpy_acc)(crow + j0, brow + j0,
+                                                     aik, j1 - j0);
+            } else {
+              for (std::size_t j = j0; j < j1; ++j) crow[j] += aik * brow[j];
             }
           }
         }

@@ -1,5 +1,6 @@
 #include "svc/job_spec.hpp"
 
+#include <bit>
 #include <charconv>
 
 #include "common/error.hpp"
@@ -104,6 +105,12 @@ void JobSpec::validate() const {
   if (clusters < 1) throw InvalidArgument("clusters must be >= 1");
   if (iterations < 1) throw InvalidArgument("iterations must be >= 1");
   if (rows == 0 || cols == 0) throw InvalidArgument("rows/cols must be >= 1");
+  // The FFT kernels take cols as the transform size; catch a bad size here,
+  // not after admission from inside the kernel.
+  if (app == "fft" && (cols < 2 || !std::has_single_bit(cols))) {
+    throw InvalidArgument("fft needs --cols (the FFT size) to be a power of "
+                          "two >= 2, got " + std::to_string(cols));
+  }
   if (gpu_only && cpu_only) {
     throw InvalidArgument("gpu_only and cpu_only are mutually exclusive");
   }

@@ -28,23 +28,23 @@ void linef(std::vector<std::string>& lines, const char* fmt, ...) {
   lines.emplace_back(buf);
 }
 
-/// 16-hex-digit FNV digest of a Writer's encoded bytes. CI diffs this line
+/// 16-hex-digit FNV digest of the streamed encoding. CI diffs this line
 /// between single-shot, fault-injected, resumed and server-submitted runs.
-std::string writer_digest(const ckpt::Writer& w) {
+std::string hex_digest(const ckpt::Hasher& h) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(ckpt::fnv1a64(w.bytes())));
+                static_cast<unsigned long long>(h.value()));
   return buf;
 }
 
 /// Modeled runs have no application result; digest the statistics instead
 /// (deterministic: virtual time and counters are bit-reproducible).
 std::string stats_digest(const core::JobStats& stats) {
-  ckpt::Writer w;
-  core::visit_stats_fields(stats, [&w](const char*, const auto& value) {
-    w.f64(static_cast<double>(value));
+  ckpt::Hasher h;
+  core::visit_stats_fields(stats, [&h](const char*, const auto& value) {
+    h.f64(static_cast<double>(value));
   });
-  return writer_digest(w);
+  return hex_digest(h);
 }
 
 }  // namespace
@@ -78,10 +78,10 @@ LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
                                     checkpoint);
         linef(out.lines, "converged in %d iterations, J_m = %.6g",
               res.iterations, res.objective);
-        ckpt::Writer w;
-        ckpt::put_matrix(w, res.centers);
-        w.f64(res.objective);
-        out.digest = writer_digest(w);
+        ckpt::Hasher h;
+        ckpt::put_matrix(h, res.centers);
+        h.f64(res.objective);
+        out.digest = hex_digest(h);
         linef(out.lines, "cmeans state digest: %s", out.digest.c_str());
       } else {
         apps::KmeansParams p;
@@ -92,10 +92,10 @@ LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
                                     checkpoint);
         linef(out.lines, "converged in %d iterations, inertia = %.6g",
               res.iterations, res.inertia);
-        ckpt::Writer w;
-        ckpt::put_matrix(w, res.centers);
-        w.f64(res.inertia);
-        out.digest = writer_digest(w);
+        ckpt::Hasher h;
+        ckpt::put_matrix(h, res.centers);
+        h.f64(res.inertia);
+        out.digest = hex_digest(h);
         linef(out.lines, "kmeans state digest: %s", out.digest.c_str());
       }
     } else if (spec.app == "cmeans") {
@@ -129,13 +129,13 @@ LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
                                  checkpoint);
       linef(out.lines, "converged in %d iterations, log-likelihood = %.6g",
             model.iterations, model.log_likelihood);
-      ckpt::Writer w;
-      w.u64(model.weights.size());
-      for (double wm : model.weights) w.f64(wm);
-      ckpt::put_matrix(w, model.means);
-      ckpt::put_matrix(w, model.variances);
-      w.f64(model.log_likelihood);
-      out.digest = writer_digest(w);
+      ckpt::Hasher h;
+      h.u64(model.weights.size());
+      for (double wm : model.weights) h.f64(wm);
+      ckpt::put_matrix(h, model.means);
+      ckpt::put_matrix(h, model.variances);
+      h.f64(model.log_likelihood);
+      out.digest = hex_digest(h);
       linef(out.lines, "gmm state digest: %s", out.digest.c_str());
     } else {
       apps::GmmParams p;
@@ -154,10 +154,10 @@ LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
       auto x = data::random_vector(rng, spec.cols);
       auto y = apps::gemv_prs(cluster, a, x, cfg, &stats);
       linef(out.lines, "y[0] = %.6g, y[n-1] = %.6g", y.front(), y.back());
-      ckpt::Writer w;
-      w.u64(y.size());
-      for (double v : y) w.f64(v);
-      out.digest = writer_digest(w);
+      ckpt::Hasher h;
+      h.u64(y.size());
+      for (double v : y) h.f64(v);
+      out.digest = hex_digest(h);
     } else {
       stats = apps::gemv_prs_modeled(cluster, spec.rows, spec.cols, cfg);
     }
@@ -175,9 +175,9 @@ LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
       auto c = apps::dgemm_prs(cluster, a, b, cfg, &stats);
       linef(out.lines, "C[0][0] = %.6g, C[m-1][n-1] = %.6g", c(0, 0),
             c(c.rows() - 1, c.cols() - 1));
-      ckpt::Writer w;
-      ckpt::put_matrix(w, c);
-      out.digest = writer_digest(w);
+      ckpt::Hasher h;
+      ckpt::put_matrix(h, c);
+      out.digest = hex_digest(h);
     } else {
       stats = apps::dgemm_prs_modeled(cluster, spec.rows, spec.cols,
                                       spec.dims, cfg);
@@ -195,10 +195,10 @@ LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
     auto res = apps::stencil_prs(cluster, grid, p, cfg, &stats, checkpoint);
     linef(out.lines, "relaxed in %d iterations, residual = %.6g",
           res.iterations, res.residual);
-    ckpt::Writer w;
-    ckpt::put_matrix(w, res.grid);
-    w.f64(res.residual);
-    out.digest = writer_digest(w);
+    ckpt::Hasher h;
+    ckpt::put_matrix(h, res.grid);
+    h.f64(res.residual);
+    out.digest = hex_digest(h);
     linef(out.lines, "stencil state digest: %s", out.digest.c_str());
   } else if (spec.app == "fft") {
     const double ai = linalg::fft_arithmetic_intensity(spec.cols);
@@ -221,13 +221,13 @@ LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
           "wordcount result: %zu lines, %zu distinct words, "
           "%llu total occurrences",
           spec.points, counts.size(), total);
-    ckpt::Writer w;
-    w.u64(counts.size());
+    ckpt::Hasher h;
+    h.u64(counts.size());
     for (const auto& [word, c] : counts) {
-      w.str(word);
-      w.u64(static_cast<std::uint64_t>(c));
+      h.str(word);
+      h.u64(static_cast<std::uint64_t>(c));
     }
-    out.digest = writer_digest(w);
+    out.digest = hex_digest(h);
   } else {
     throw InvalidArgument("unknown app '" + spec.app + "' (try --list)");
   }

@@ -5,12 +5,15 @@
 // schedule-policy state serialization.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
@@ -117,6 +120,153 @@ TEST(CkptCodec, MatrixRoundTripsAndBadDimsThrow) {
   Reader rb(bad.bytes());
   linalg::MatrixD out;
   EXPECT_THROW(get_matrix(rb, out), Error);
+}
+
+// -- streaming digest --------------------------------------------------------
+
+/// Doubles whose bit patterns a lossy path would mangle: NaN payloads and
+/// signs, signed zeros, denormals, infinities and the finite extremes.
+std::vector<double> awkward_doubles() {
+  using L = std::numeric_limits<double>;
+  return {0.0,
+          -0.0,
+          L::infinity(),
+          -L::infinity(),
+          L::quiet_NaN(),
+          -L::quiet_NaN(),
+          std::bit_cast<double>(0x7ff0000000000001ull),  // signalling NaN
+          std::bit_cast<double>(0x7ff8dead0000beefull),  // NaN payload
+          std::bit_cast<double>(0xfff0000000000123ull),
+          L::denorm_min(),
+          -L::denorm_min(),
+          std::bit_cast<double>(0x000fffffffffffffull),  // largest denormal
+          L::min(),
+          L::max(),
+          L::lowest(),
+          L::epsilon(),
+          1.0};
+}
+
+/// Applies one random encoder call, drawn from every scalar kind, strings
+/// (empty, NUL-containing, random) and small matrices, to `sink`.
+template <typename Sink>
+void random_op(Rng& op_rng, Sink& sink) {
+  static const std::vector<double> awkward = awkward_doubles();
+  const std::uint64_t bits = op_rng.next();
+  switch (op_rng.uniform_index(8)) {
+    case 0:
+      sink.u8(static_cast<std::uint8_t>(bits));
+      break;
+    case 1:
+      sink.u32(static_cast<std::uint32_t>(bits));
+      break;
+    case 2:
+      sink.u64(bits);
+      break;
+    case 3:
+      sink.i32(static_cast<std::int32_t>(bits));
+      break;
+    case 4:
+      sink.i64(static_cast<std::int64_t>(bits));
+      break;
+    case 5:
+      sink.f64(op_rng.uniform_index(2) == 0
+                   ? awkward[op_rng.uniform_index(awkward.size())]
+                   : std::bit_cast<double>(bits));
+      break;
+    case 6: {
+      std::string s(op_rng.uniform_index(20), '\0');
+      for (char& c : s) {
+        c = op_rng.uniform_index(3) == 0
+                ? '\0'
+                : static_cast<char>(op_rng.uniform_index(256));
+      }
+      sink.str(s);
+      break;
+    }
+    default: {
+      static const std::size_t shapes[][2] = {{0, 0}, {1, 1}, {3, 5}};
+      const auto* shape = shapes[op_rng.uniform_index(3)];
+      linalg::MatrixD m(shape[0], shape[1], 0.0);
+      for (std::size_t i = 0; i < m.size(); ++i) {
+        m.data()[i] = awkward[op_rng.uniform_index(awkward.size())];
+      }
+      put_matrix(sink, m);
+      break;
+    }
+  }
+}
+
+TEST(CkptHasher, KnownAnswers) {
+  EXPECT_EQ(Hasher().value(), fnv1a64(""));
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  Hasher h;
+  h.str("");
+  Writer w;
+  w.str("");
+  EXPECT_EQ(h.value(), fnv1a64(w.bytes()));
+}
+
+TEST(CkptHasher, MatchesFnvOfWriterBytesForRandomOpSequences) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    // Two generators on the same seed drive the two sinks through the same
+    // calls; the values must agree after every call, not only at the end.
+    Rng wr(seed), hr(seed);
+    Writer w;
+    Hasher h;
+    const std::size_t ops = wr.uniform_index(40);
+    (void)hr.uniform_index(40);
+    for (std::size_t op = 0; op < ops; ++op) {
+      random_op(wr, w);
+      random_op(hr, h);
+      ASSERT_EQ(h.value(), fnv1a64(w.bytes()))
+          << "seed " << seed << " diverged at op " << op;
+    }
+  }
+}
+
+TEST(CkptHasher, MatchesWriterOnMatricesAndEveryAwkwardDouble) {
+  for (const double v : awkward_doubles()) {
+    Writer w;
+    Hasher h;
+    w.f64(v);
+    h.f64(v);
+    EXPECT_EQ(h.value(), fnv1a64(w.bytes()))
+        << std::bit_cast<std::uint64_t>(v);
+  }
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{0, 0},
+                                  {1, 1}, {3, 5}}) {
+    linalg::MatrixD m(rows, cols, -0.0);
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      m.data()[i] = static_cast<double>(i) / 3.0;
+    }
+    Writer w;
+    Hasher h;
+    put_matrix(w, m);
+    put_matrix(h, m);
+    EXPECT_EQ(h.value(), fnv1a64(w.bytes())) << rows << "x" << cols;
+  }
+}
+
+TEST(CkptHasher, MatchesWriterOnTheStatsEncoding) {
+  // The encoding the launcher digests modeled runs with: every JobStats
+  // field, in visitor order, as a double.
+  Rng rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    core::JobStats s{};
+    core::visit_stats_fields(s, [&](const char*, auto& v) {
+      using F = std::remove_reference_t<decltype(v)>;
+      v = static_cast<F>(rng.uniform(0.0, 1e6));
+    });
+    Writer w;
+    Hasher h;
+    core::visit_stats_fields(s, [&](const char*, const auto& v) {
+      w.f64(static_cast<double>(v));
+      h.f64(static_cast<double>(v));
+    });
+    EXPECT_EQ(h.value(), fnv1a64(w.bytes())) << "trial " << trial;
+  }
 }
 
 // -- snapshot framing -------------------------------------------------------

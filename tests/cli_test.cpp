@@ -1,7 +1,13 @@
 // Unit tests for the prs_run command-line parser and its mapping onto
-// NodeConfig / JobConfig.
+// NodeConfig / JobConfig, plus end-to-end runs of the prs_run binary for
+// the front-door contract (a bad spec is refused at validation).
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <array>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "tools/cli_options.hpp"
@@ -268,6 +274,42 @@ TEST(Cli, OptionsMapToJobSpec) {
   EXPECT_EQ(s.seed, 5u);
   EXPECT_EQ(s.vgpus_needed(), 6);
   EXPECT_NO_THROW(s.validate());
+}
+
+struct RunResult {
+  int exit_code = -1;
+  std::string output;  // stdout and stderr, interleaved
+};
+
+/// Runs the prs_run binary of this build tree with `args`.
+RunResult run_prs_run(const std::string& args) {
+  const std::string cmd = std::string(PRS_RUN_BINARY) + " " + args + " 2>&1";
+  RunResult r;
+  FILE* p = ::popen(cmd.c_str(), "r");
+  if (p == nullptr) return r;
+  std::array<char, 4096> buf{};
+  std::size_t n = 0;
+  while ((n = std::fread(buf.data(), 1, buf.size(), p)) > 0) {
+    r.output.append(buf.data(), n);
+  }
+  const int status = ::pclose(p);
+  if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
+  return r;
+}
+
+TEST(Cli, FftWithDefaultColsIsRejectedAtValidation) {
+  // Default --cols=10000 is not an FFT size: the spec must be refused at
+  // validation with a typed error naming the flag, before any kernel runs.
+  const RunResult r = run_prs_run("--app=fft");
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("error: fft needs --cols"), std::string::npos)
+      << r.output;
+}
+
+TEST(Cli, FftWithPowerOfTwoColsStillRuns) {
+  const RunResult r = run_prs_run("--app=fft --cols=1024");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("result digest:"), std::string::npos) << r.output;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 // via PRS_SIMD.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -425,6 +426,96 @@ TEST_F(SimdTest, GemmBlockedFmaWithinRelativeBound) {
                         mag.storage()[i] +
                     1e-300);
   }
+}
+
+// -- gemm_blocked output tiles ----------------------------------------------
+
+/// The row-block loop order gemm_blocked used before it was tiled across
+/// column panels, run serially: per 64-row block, scale whole rows, then
+/// k0 -> j0 -> i -> k. Every C element must see the same kernel calls on
+/// the same panels in the tiled version.
+void row_block_gemm_reference(double alpha, const linalg::MatrixD& a,
+                              const linalg::MatrixD& b, double beta,
+                              linalg::MatrixD& c) {
+  constexpr std::size_t kBlock = 64;
+  const simd::Kernels& kn = simd::active_kernels();
+  const auto axpy = simd::fma_allowed() ? kn.axpy_acc_fast : kn.axpy_acc;
+  const std::size_t m = a.rows(), n = b.cols(), kk = a.cols();
+  for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {
+    const std::size_t i1 = std::min(i0 + kBlock, m);
+    for (std::size_t i = i0; i < i1; ++i) kn.scale(c.row(i), beta, n);
+    for (std::size_t k0 = 0; k0 < kk; k0 += kBlock) {
+      const std::size_t k1 = std::min(k0 + kBlock, kk);
+      for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
+        const std::size_t j1 = std::min(j0 + kBlock, n);
+        for (std::size_t i = i0; i < i1; ++i) {
+          for (std::size_t k = k0; k < k1; ++k) {
+            axpy(c.row(i) + j0, b.row(k) + j0, alpha * a(i, k), j1 - j0);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, GemmBlockedTilesAreByteIdenticalAcrossThreadsAndLevels) {
+  struct Shape {
+    std::size_t m, n, k;  // C is m x n, the inner dimension is k
+  };
+  // 21 x 1000 x 100 is a dgemm map block (about 20 rows of a wide C).
+  const Shape shapes[] = {{1, 1, 1}, {21, 1000, 100}, {65, 129, 63},
+                          {64, 64, 64}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const bool fma : {false, true}) {
+    simd::set_fma_allowed(fma);
+    for (const Shape& sh : shapes) {
+      linalg::MatrixD a(sh.m, sh.k), b(sh.k, sh.n);
+      for (std::size_t i = 0; i < a.size(); ++i) a.storage()[i] = synth(i);
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        b.storage()[i] = synth(i + 9);
+      }
+      for (const double beta : {0.0, 0.7}) {
+        // With beta = 0 the preloaded NaN/inf must go through the scale
+        // exactly as before (NaN * 0 and inf * 0 stay NaN), not be skipped.
+        linalg::MatrixD c0(sh.m, sh.n, 0.25);
+        for (std::size_t i = 0; i < c0.size(); ++i) {
+          if (beta == 0.0 && i % 3 == 0) c0.storage()[i] = nan;
+          if (beta == 0.0 && i % 3 == 1) c0.storage()[i] = -inf;
+          if (beta != 0.0) c0.storage()[i] = synth(i + 5);
+        }
+        // Deterministic tier: one reference for every level; FMA tier:
+        // one reference per level (the fused kernel is level-specific).
+        std::vector<double> tier_ref;
+        for (const simd::Level level : supported_levels()) {
+          simd::set_level(level);
+          linalg::MatrixD want = c0;
+          row_block_gemm_reference(1.5, a, b, beta, want);
+          if (!fma) {
+            if (tier_ref.empty()) tier_ref = want.storage();
+            ASSERT_EQ(std::memcmp(tier_ref.data(), want.storage().data(),
+                                  tier_ref.size() * sizeof(double)),
+                      0)
+                << "reference differs across levels at "
+                << simd::level_name(level);
+          }
+          for (const int threads : {1, 2, 3, 4}) {
+            exec::ThreadPool::instance().configure(threads);
+            linalg::MatrixD got = c0;
+            linalg::gemm_blocked(1.5, a, b, beta, got);
+            EXPECT_EQ(std::memcmp(want.storage().data(),
+                                  got.storage().data(),
+                                  want.size() * sizeof(double)),
+                      0)
+                << sh.m << "x" << sh.n << "x" << sh.k << " beta=" << beta
+                << " fma=" << fma << " level=" << simd::level_name(level)
+                << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+  exec::ThreadPool::instance().configure(3);
 }
 
 // -- roofline feedback (Eq (8) with a measured host speedup) -----------------

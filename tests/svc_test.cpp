@@ -226,6 +226,35 @@ TEST(JobSpecWire, ValidateRejectsBadCombinations) {
   EXPECT_THROW(modeled_stencil.validate(), InvalidArgument);
 }
 
+TEST(JobSpecWire, ValidateRejectsFftSizeThatIsNotAPowerOfTwo) {
+  // The shared default cols (10000) used to pass admission and then throw
+  // from inside the FFT kernel.
+  JobSpec fft;
+  fft.app = "fft";
+  try {
+    fft.validate();
+    FAIL() << "expected prs::InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--cols"), std::string::npos)
+        << e.what();
+  }
+  for (const std::size_t bad : {std::size_t{1}, std::size_t{3},
+                                std::size_t{1000}, std::size_t{1025}}) {
+    fft.cols = bad;
+    EXPECT_THROW(fft.validate(), InvalidArgument) << "cols=" << bad;
+  }
+  for (const std::size_t good : {std::size_t{2}, std::size_t{64},
+                                 std::size_t{1024}}) {
+    fft.cols = good;
+    EXPECT_NO_THROW(fft.validate()) << "cols=" << good;
+  }
+  // Only fft reads cols as a transform size.
+  JobSpec gemv;
+  gemv.app = "gemv";
+  gemv.cols = 1000;
+  EXPECT_NO_THROW(gemv.validate());
+}
+
 // ---------------------------------------------------------------- stats io
 
 TEST(StatsIo, TextAndJsonCarryTheFields) {
