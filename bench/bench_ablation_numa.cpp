@@ -1,10 +1,7 @@
 // Ablation: NUMA-aware host execution (prs::numa + exec::ThreadPool).
 //
-// Measures what NUMA mode buys on the actual host, per workload:
+// Measures what NUMA mode buys on the actual host:
 //
-//   * wordcount map+shuffle throughput, NUMA off (parallel_reduce over
-//     std::map partials) vs NUMA on (Metis-style per-lane kv-stores,
-//     lock-free single-writer, fixed lane-order merge);
 //   * the C-means accumulate sweep, NUMA off vs on (pinning + socket-local
 //     steal order + input prefault);
 //   * steal locality (exec.pool.steals_local / steals_remote) under each
@@ -13,19 +10,15 @@
 //     change the bytes (exit 1 if it does).
 //
 // On a single-socket host the steal-order/pinning deltas are noise by
-// design (the lane map degenerates to the flat one); the per-lane shuffle
-// win is real everywhere because it also removes the map-merge combine.
-// Wall-clock numbers vary run to run; the identity verdict must not.
+// design (the lane map degenerates to the flat one). Wall-clock numbers
+// vary run to run; the identity verdict must not.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/cmeans.hpp"
-#include "apps/wordcount.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
@@ -69,21 +62,15 @@ std::string cell(double seconds, double baseline_seconds) {
 
 int main() {
   bench::print_header(
-      "Ablation — NUMA mode: pinning, socket-local steals, per-lane shuffle",
-      "Real host time. The wordcount shuffle win comes from per-lane "
-      "kv-stores (no map-merge combine); pinning/steal-order deltas only "
-      "appear on multi-socket hosts. Bytes must match between modes.");
+      "Ablation — NUMA mode: pinning and socket-local steals",
+      "Real host time. Pinning/steal-order deltas only appear on "
+      "multi-socket hosts. Bytes must match between modes.");
 
   auto& pool = exec::ThreadPool::instance();
   const numa::Topology host = numa::discover();
   std::printf("host topology: %s\n\n", host.summary().c_str());
 
-  // Wordcount workload: Zipf-ish corpus, paper's leftmost-AI app.
   Rng rng(42);
-  auto corpus = std::make_shared<const apps::Corpus>(
-      apps::generate_corpus(rng, 60000, 12, 20000));
-  auto wc_spec = apps::wordcount_spec(corpus);
-
   // C-means accumulate workload (the map inner loop NUMA placement serves).
   auto ds = data::generate_blobs(rng, 40000, 16, 8, 10.0, 1.0);
   linalg::MatrixD centers(8, ds.points.cols());
@@ -94,9 +81,7 @@ int main() {
   }
 
   struct ModeResult {
-    double wc_s = 0.0;
     double cm_s = 0.0;
-    std::uint64_t wc_digest = 0;
     std::uint64_t cm_digest = 0;
     std::uint64_t steals_local = 0;
     std::uint64_t steals_remote = 0;
@@ -108,23 +93,6 @@ int main() {
     numa::ScopedEnable scope(on);
     ModeResult r;
     pool.reset_stats();
-
-    std::map<std::string, long> wc_out;
-    r.wc_s = best_seconds([&] {
-      core::Emitter<std::string, long> em;
-      wc_spec.cpu_map(core::InputSlice{0, corpus->size()}, em);
-      wc_out.clear();
-      for (const auto& [w, c] : em.pairs()) wc_out[w] += c;
-    });
-    r.wc_digest = 1469598103934665603ULL;
-    for (const auto& [w, c] : wc_out) {
-      for (const char ch : w) {
-        r.wc_digest =
-            (r.wc_digest ^ static_cast<unsigned char>(ch)) * 1099511628211ULL;
-      }
-      const auto cd = static_cast<double>(c);
-      r.wc_digest = digest(r.wc_digest, &cd, 1);
-    }
 
     std::vector<std::vector<double>> partials;
     r.cm_s = best_seconds([&] {
@@ -151,9 +119,6 @@ int main() {
 
   TextTable t({"workload", "numa off", "numa on", "speedup"});
   char sp[32];
-  std::snprintf(sp, sizeof(sp), "%.2fx", on.wc_s > 0 ? off.wc_s / on.wc_s : 0);
-  t.add_row({"wordcount map+shuffle", cell(off.wc_s, off.wc_s),
-             cell(on.wc_s, off.wc_s), sp});
   std::snprintf(sp, sizeof(sp), "%.2fx", on.cm_s > 0 ? off.cm_s / on.cm_s : 0);
   t.add_row({"cmeans accumulate", cell(off.cm_s, off.cm_s),
              cell(on.cm_s, off.cm_s), sp});
@@ -170,8 +135,7 @@ int main() {
               static_cast<unsigned long long>(off.steals_local),
               static_cast<unsigned long long>(off.steals_remote));
 
-  const bool identical =
-      off.wc_digest == on.wc_digest && off.cm_digest == on.cm_digest;
+  const bool identical = off.cm_digest == on.cm_digest;
   std::printf("byte-identity numa on vs off: %s\n",
               identical ? "PASS" : "FAIL");
   pool.configure(0);  // restore the default for anything run after us

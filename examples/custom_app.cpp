@@ -67,8 +67,8 @@ core::MapReduceSpec<int, SensorStats> sensor_spec(
       }
     }
   };
-  // The GPU kernel would compute the same partials; reuse the C++ payload.
-  spec.gpu_map = spec.cpu_map;
+  // The GPU kernel would compute the same partials: leaving gpu_map unset
+  // makes the GPU daemons run cpu_map too.
 
   spec.combine = [](const SensorStats& a, const SensorStats& b) {
     SensorStats out = a;

@@ -248,8 +248,8 @@ CmeansSpec cmeans_spec(std::shared_ptr<CmeansState> state,
     }
   };
   // The CUDA kernels compute the same partials (paper: source often
-  // identical across backends).
-  spec.gpu_map = spec.cpu_map;
+  // identical across backends), so gpu_map stays unset: it defaults to
+  // cpu_map.
   spec.modeled_map = [state](const core::InputSlice&,
                              core::Emitter<int, std::vector<double>>& e) {
     const std::size_t m = state->centers.rows();

@@ -52,7 +52,6 @@ DgemmSpec dgemm_spec(std::shared_ptr<DgemmState> state, std::size_t k,
     linalg::gemm_blocked(1.0, a_block, b, 0.0, c_block);
     e.emit(static_cast<long>(s.begin), std::move(c_block));
   };
-  spec.gpu_map = spec.cpu_map;
   spec.modeled_map = [](const core::InputSlice& s,
                         core::Emitter<long, linalg::MatrixD>& e) {
     e.emit(static_cast<long>(s.begin), linalg::MatrixD{});

@@ -54,7 +54,6 @@ FftBatchSpec fft_batch_spec(std::shared_ptr<FftBatchState> state,
             });
         e.emit(static_cast<long>(s.begin), std::move(out));
       };
-  spec.gpu_map = spec.cpu_map;  // cuFFT path computes the same transforms
   spec.modeled_map =
       [](const core::InputSlice& s,
          core::Emitter<long, std::vector<linalg::Complex>>& e) {

@@ -66,7 +66,6 @@ GemvSpec gemv_spec(std::shared_ptr<GemvState> state, std::size_t cols) {
                        });
     e.emit(static_cast<long>(s.begin), std::move(segment));
   };
-  spec.gpu_map = spec.cpu_map;  // cuBLAS path computes the same segments
   spec.modeled_map = [](const core::InputSlice& s,
                         core::Emitter<long, std::vector<double>>& e) {
     e.emit(static_cast<long>(s.begin), std::vector<double>{});

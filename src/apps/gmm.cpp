@@ -250,7 +250,6 @@ GmmSpec gmm_spec(std::shared_ptr<GmmState> state, const GmmParams& params,
       e.emit(static_cast<int>(j), std::move(partials[j]));
     }
   };
-  spec.gpu_map = spec.cpu_map;
   spec.modeled_map = [state](const core::InputSlice&,
                              core::Emitter<int, std::vector<double>>& e) {
     const std::size_t m = state->model.means.rows();

@@ -171,7 +171,6 @@ KmeansSpec kmeans_spec(std::shared_ptr<KmeansState> state,
       e.emit(static_cast<int>(j), std::move(partials[j]));
     }
   };
-  spec.gpu_map = spec.cpu_map;
   spec.modeled_map = [state](const core::InputSlice&,
                              core::Emitter<int, std::vector<double>>& e) {
     for (std::size_t j = 0; j < state->centers.rows(); ++j) {

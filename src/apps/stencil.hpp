@@ -61,8 +61,8 @@ ckpt::StateCodec stencil_state_codec(std::shared_ptr<StencilState> state,
                                      int* iterations = nullptr);
 
 /// Distributed relaxation on the cluster; numerically identical to
-/// stencil_serial. With the task-graph engine at pipeline_depth > 1 (and no
-/// faults/checkpointing, functional mode) this routes to stencil_graph.
+/// stencil_serial. At pipeline_depth > 1 (and no faults/checkpointing,
+/// functional mode) this routes to stencil_graph.
 StencilResult stencil_prs(core::Cluster& cluster,
                           const linalg::MatrixD& initial,
                           const StencilParams& params,
@@ -78,7 +78,8 @@ StencilResult stencil_prs(core::Cluster& cluster,
 /// Convergence is checked by per-iteration retire nodes over the exact
 /// block-residual max; Jacobi is cell-deterministic, so grid and iteration
 /// count are byte-identical to stencil_serial / stencil_prs for any depth.
-/// Requires functional mode; faults and checkpointing take the stage path.
+/// Requires functional mode; faults and checkpointing take the
+/// per-iteration MapReduce rounds.
 StencilResult stencil_graph(core::Cluster& cluster,
                             const linalg::MatrixD& initial,
                             const StencilParams& params,

@@ -68,7 +68,6 @@ struct HaloBox {
   int final_iter = -1;    // last counted iteration
   int iterations = 0;
   double residual = 0.0;
-  graph::GraphExecutor* exec = nullptr;  // bound per window
 };
 
 /// CPU block: one roofline-timed task on the node's core pool.
@@ -216,7 +215,6 @@ StencilResult stencil_graph(core::Cluster& cluster,
   // the simplest way to get them right.
   std::vector<linalg::MatrixD> bufs(static_cast<std::size_t>(K), initial);
   auto box = std::make_shared<HaloBox>();
-  auto fail = std::make_shared<core::detail::GraphFailBox>();
 
   const double t0 = sim.now();
   const core::detail::ClusterCounters counters0 =
@@ -233,6 +231,7 @@ StencilResult stencil_graph(core::Cluster& cluster,
     residuals.assign(static_cast<std::size_t>(window),
                      std::vector<double>(B, 0.0));
     graph::TaskGraph g("stencil:halo@" + std::to_string(j0));
+    graph::GraphExecutor exec(sim, g);
     // node ids of the previous iteration's blocks / this window's retires
     std::vector<graph::NodeId> prev(B, graph::kNoNode);
     std::vector<graph::NodeId> retires;
@@ -252,26 +251,28 @@ StencilResult stencil_graph(core::Cluster& cluster,
         w.flops = rows * flops_per_row;
         w.mem_traffic = w.flops / ai;
         // The functional payload: relax this block's rows from the read
-        // buffer into the write buffer and record the block residual.
-        auto body = core::detail::graph_wrap_body(
-            [bp = &bufs, rp = &residuals, j, jj, b, K, r0 = hb.r0,
-             r1 = hb.r1] {
-              const linalg::MatrixD& in =
-                  (*bp)[static_cast<std::size_t>(j % K)];
-              linalg::MatrixD& out =
-                  (*bp)[static_cast<std::size_t>((j + 1) % K)];
-              std::vector<double> rows_out;
-              const double res =
-                  stencil_detail::relax_rows(in, r0 + 1, r1 + 1, rows_out);
-              const std::size_t c_n = in.cols();
-              for (std::size_t r = r0; r < r1; ++r) {
-                for (std::size_t c = 0; c < c_n; ++c) {
-                  out(r + 1, c) = rows_out[(r - r0) * c_n + c];
-                }
-              }
-              (*rp)[static_cast<std::size_t>(jj)][b] = res;
-            },
-            fail, name);
+        // buffer into the write buffer and record the block residual. A
+        // throw fails this block's node, the next one added (node ids
+        // follow insertion order).
+        const graph::NodeId id = g.size();
+        auto relax = [bp = &bufs, rp = &residuals, j, jj, b, K, r0 = hb.r0,
+                      r1 = hb.r1] {
+          const linalg::MatrixD& in = (*bp)[static_cast<std::size_t>(j % K)];
+          linalg::MatrixD& out = (*bp)[static_cast<std::size_t>((j + 1) % K)];
+          std::vector<double> rows_out;
+          const double res =
+              stencil_detail::relax_rows(in, r0 + 1, r1 + 1, rows_out);
+          const std::size_t c_n = in.cols();
+          for (std::size_t r = r0; r < r1; ++r) {
+            for (std::size_t c = 0; c < c_n; ++c) {
+              out(r + 1, c) = rows_out[(r - r0) * c_n + c];
+            }
+          }
+          (*rp)[static_cast<std::size_t>(jj)][b] = res;
+        };
+        std::function<void()> body = [ex = &exec, id, relax] {
+          core::detail::run_recording_failure(*ex, id, relax);
+        };
         graph::NodeId n;
         if (hb.gpu) {
           // Two halo rows in, the block's updated rows back out.
@@ -282,10 +283,12 @@ StencilResult stencil_graph(core::Cluster& cluster,
               [cl = &cluster, rank = hb.rank, card = hb.card,
                stream = hb.stream, w, ec = spec.efficiency.gpu_compute,
                em = spec.efficiency.gpu_memory, h2d, d2h,
-               body](sim::Simulator& s, sim::Promise<sim::Unit> done) {
-                (void)s;
-                return hg_gpu_block(cl, rank, card, stream, w, ec, em, h2d,
-                                    d2h, body, std::move(done));
+               body](sim::Simulator& s) {
+                return graph::spawn_work(
+                    s, [&](sim::Promise<sim::Unit> done) {
+                      return hg_gpu_block(cl, rank, card, stream, w, ec, em,
+                                          h2d, d2h, body, std::move(done));
+                    });
               });
         } else {
           n = g.add_work(
@@ -293,12 +296,15 @@ StencilResult stencil_graph(core::Cluster& cluster,
               [cl = &cluster, rank = hb.rank, w,
                ec = spec.efficiency.cpu_compute,
                em = spec.efficiency.cpu_memory,
-               body](sim::Simulator& s, sim::Promise<sim::Unit> done) {
-                (void)s;
-                return hg_cpu_block(cl, rank, w, ec, em, body,
-                                    std::move(done));
+               body](sim::Simulator& s) {
+                return graph::spawn_work(
+                    s, [&](sim::Promise<sim::Unit> done) {
+                      return hg_cpu_block(cl, rank, w, ec, em, body,
+                                          std::move(done));
+                    });
               });
         }
+        PRS_CHECK(n == id, "halo block node id differs from its payload's");
         if (jj > 0) {
           // Halo dependencies on the previous sweep: same-rank neighbours
           // by direct edge, cross-rank ones through their recv nodes.
@@ -346,10 +352,11 @@ StencilResult stencil_graph(core::Cluster& cluster,
           g.depend(send, cur[from]);
           const graph::NodeId recv = g.add_work(
               hn + ":recv", "net", dst,
-              [cl = &cluster, dst, src, tag](sim::Simulator& s,
-                                             sim::Promise<sim::Unit> done) {
-                (void)s;
-                return hg_recv(cl, dst, src, tag, std::move(done));
+              [cl = &cluster, dst, src, tag](sim::Simulator& s) {
+                return graph::spawn_work(
+                    s, [&](sim::Promise<sim::Unit> done) {
+                      return hg_recv(cl, dst, src, tag, std::move(done));
+                    });
               });
           g.depend(recv, send);
           prev_recv[to].push_back(recv);
@@ -360,7 +367,7 @@ StencilResult stencil_graph(core::Cluster& cluster,
       // master and stop the wavefront once converged.
       const graph::NodeId retire = g.add_host(
           "i" + std::to_string(j) + ":retire", "host", 0,
-          [box, rp = &residuals, jj, j,
+          [box, ex = &exec, rp = &residuals, jj, j,
            max_iterations = params.max_iterations, eps = params.epsilon] {
             if (box->finished) return;  // overrun sweep: ignored
             double res = 0.0;
@@ -372,7 +379,7 @@ StencilResult stencil_graph(core::Cluster& cluster,
             box->final_iter = j;
             if (res < eps || j + 1 >= max_iterations) {
               box->finished = true;
-              if (box->exec != nullptr) box->exec->cancel_pending();
+              ex->cancel_pending();
             }
           });
       for (const graph::NodeId n : cur) g.depend(retire, n);
@@ -383,24 +390,7 @@ StencilResult stencil_graph(core::Cluster& cluster,
     if (!cfg.graph_dump_path.empty() && j0 == 0) {
       core::detail::write_graph_dot(g, cfg.graph_dump_path);
     }
-    graph::GraphExecutor exec(sim, g);
-    fail->exec = &exec;
-    box->exec = &exec;
-    exec.start();
-    try {
-      sim.run();
-    } catch (const Error&) {
-      throw;
-    } catch (const std::exception& e) {
-      if (exec.failed()) {
-        throw Error("task graph node '" + exec.failure_site() +
-                    "' failed: " + e.what());
-      }
-      throw;
-    }
-    exec.rethrow_if_failed();
-    box->exec = nullptr;
-    fail->exec = nullptr;
+    core::detail::execute_graph(sim, exec);
     j0 += window;
   }
 

@@ -6,9 +6,8 @@
 
 #include "common/error.hpp"
 #include "core/calibration.hpp"
+#include "core/kv_store.hpp"
 #include "exec/parallel.hpp"
-#include "numa/kv_store.hpp"
-#include "numa/topology.hpp"
 
 namespace prs::apps {
 namespace {
@@ -24,17 +23,17 @@ void count_line(const std::string& line, std::map<std::string, long>& acc) {
 }
 
 /// Exactly the C-locale whitespace set `istream >> std::string` skips —
-/// the two tokenizers below must agree word-for-word or the shuffle paths
-/// would diverge.
+/// the map tokenizer must agree word-for-word with count_line, the serial
+/// oracle.
 bool is_word_space(char ch) {
   return ch == ' ' || ch == '\t' || ch == '\n' || ch == '\v' || ch == '\f' ||
          ch == '\r';
 }
 
-/// Allocation-free tokenizer for the per-lane path: splits like
-/// `ss >> word` but feeds string_views straight into the store (no
-/// std::string per word, no tree rebalance per count).
-void count_line_fast(const std::string& line, numa::LaneKvStore& store) {
+/// Allocation-free tokenizer for the map: splits like `ss >> word` but
+/// feeds string_views straight into the store (no std::string per word,
+/// no tree rebalance per count).
+void count_line_fast(const std::string& line, core::LaneKvStore& store) {
   const char* p = line.data();
   const char* const end = p + line.size();
   while (p < end) {
@@ -110,49 +109,28 @@ WordCountSpec wordcount_spec(std::shared_ptr<const Corpus> corpus) {
   spec.name = "wordcount";
   spec.cpu_map = [corpus](const core::InputSlice& s,
                           core::Emitter<std::string, long>& e) {
-    // NUMA mode: Metis-style shuffle. One open-addressed store per pool
-    // lane, written lock-free by its owner thread only (a thief counts
-    // stolen chunks into its *own* store), then merged in ascending lane
-    // order. Counts are integers, so any distribution of words over lanes
-    // merges to the same sorted map — byte-identical to the reduce path
-    // below at every thread count and topology (tests/shuffle_test.cpp,
-    // tests/numa_test.cpp).
-    if (numa::enabled()) {
-      const int lanes = exec::ThreadPool::instance().threads();
-      std::vector<numa::LaneKvStore> stores;
-      stores.reserve(static_cast<std::size_t>(lanes));
-      // Start tiny: nearly all slot pages are then allocated by grow()
-      // *inside the owner lane* — first-touched on the owner's socket.
-      for (int i = 0; i < lanes; ++i) stores.emplace_back(8);
-      exec::parallel_for(
-          s.begin, s.end, kMapGrain, [&](std::size_t b, std::size_t en) {
-            numa::LaneKvStore& mine = stores[static_cast<std::size_t>(
-                exec::ThreadPool::current_lane())];
-            for (std::size_t i = b; i < en; ++i) {
-              count_line_fast((*corpus)[i], mine);
-            }
-          });
-      for (auto& [w, c] : numa::merge_lane_stores(stores)) e.emit(w, c);
-      return;
-    }
-    // Per-task pre-aggregation (combiner inside the mapper), spread over
-    // the host pool. Counts are integers and map merging is
-    // order-insensitive, so the merged result is exact for any thread
-    // count; the fixed-order tree combine makes it deterministic anyway.
-    using Counts = std::map<std::string, long>;
-    Counts acc = exec::parallel_reduce(
-        s.begin, s.end, kMapGrain, Counts{},
-        [&corpus](std::size_t b, std::size_t en, Counts m) {
-          for (std::size_t i = b; i < en; ++i) count_line((*corpus)[i], m);
-          return m;
-        },
-        [](Counts a, Counts b) {
-          for (auto& [w, c] : b) a[w] += c;
-          return a;
+    // Metis-style shuffle: one open-addressed store per pool lane, written
+    // lock-free by its owner thread only (a thief counts stolen chunks
+    // into its *own* store), then merged in ascending lane order. Counts
+    // are integers, so any distribution of words over lanes merges to the
+    // same sorted map — byte-identical to wordcount_serial at every thread
+    // count and topology (tests/shuffle_test.cpp, tests/numa_test.cpp).
+    const int lanes = exec::ThreadPool::instance().threads();
+    std::vector<core::LaneKvStore> stores;
+    stores.reserve(static_cast<std::size_t>(lanes));
+    // Start tiny: nearly all slot pages are then allocated by grow()
+    // *inside the owner lane* — first-touched on the owner's socket.
+    for (int i = 0; i < lanes; ++i) stores.emplace_back(8);
+    exec::parallel_for(
+        s.begin, s.end, kMapGrain, [&](std::size_t b, std::size_t en) {
+          core::LaneKvStore& mine = stores[static_cast<std::size_t>(
+              exec::ThreadPool::current_lane())];
+          for (std::size_t i = b; i < en; ++i) {
+            count_line_fast((*corpus)[i], mine);
+          }
         });
-    for (auto& [w, c] : acc) e.emit(w, c);
+    for (auto& [w, c] : core::merge_lane_stores(stores)) e.emit(w, c);
   };
-  spec.gpu_map = spec.cpu_map;
   spec.modeled_map = [](const core::InputSlice&,
                         core::Emitter<std::string, long>& e) {
     e.emit("word0", 0);

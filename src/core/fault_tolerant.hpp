@@ -1,8 +1,9 @@
 // Fault-tolerant execution path of the PRS job runner.
 //
 // Engaged only when JobConfig::faults is set (run_job branches here); the
-// fault-free fast path in job_runner.hpp never touches this code, so its
-// virtual-time behaviour stays byte-identical with or without a fault plan.
+// fault-free task-graph path (job_graph.hpp) never touches this code, so
+// its virtual-time behaviour stays byte-identical with or without a fault
+// plan.
 //
 // Tolerance mechanisms, layered over the same stage machinery:
 //   * per-block timeouts — every map attempt races a deadline derived from
@@ -419,11 +420,11 @@ std::vector<sim::Future<sim::Unit>> ft_submit_reduce(
 /// deadline, the map stage runs through retryable block attempts, and all
 /// cross-node waits stay responsive to failure announcements.
 template <typename K, typename V>
-sim::Process ft_node_main(Cluster& cluster,
-                          std::shared_ptr<JobState<K, V>> st,
-                          std::shared_ptr<FtControl> ctl,
-                          SchedulePolicy* policy, int rank,
-                          std::vector<int> alive) {
+sim::Process ft_node_supervisor(Cluster& cluster,
+                                std::shared_ptr<JobState<K, V>> st,
+                                std::shared_ptr<FtControl> ctl,
+                                SchedulePolicy* policy, int rank,
+                                std::vector<int> alive) {
   auto& sim = cluster.simulator();
   auto& comm = cluster.fabric().comm(rank);
   const auto& spec = *st->spec;
@@ -855,7 +856,7 @@ JobResult<K, V> run_job_tolerant(Cluster& cluster,
       ctl->subs[r] = std::make_shared<sim::Channel<FtEvent>>(sim);
     }
     for (int r : alive) {
-      sim.spawn(ft_node_main<K, V>(cluster, st, ctl, policy, r, alive));
+      sim.spawn(ft_node_supervisor<K, V>(cluster, st, ctl, policy, r, alive));
     }
     sim.run();
 

@@ -1,28 +1,32 @@
-// The task-graph execution path of the PRS runner (JobConfig::engine ==
-// ExecEngine::kGraph).
+// The fault-free execution path of the PRS runner: every job without a
+// fault injector runs as one TaskGraph.
 //
-// One TaskGraph instance expresses a whole job: the per-node spine
-// start -> dispatch(p) -> {cpu/gpu blocks} -> merge -> shuffle -> reduce
-// -> gather, with the stage objects from core/pipeline.hpp acting as graph
-// builders (MapStage::plan_static enumerates the same blocks the legacy
-// enqueue produces, in the same order, so numeric results are
-// byte-identical to the stage runner).
+// One graph instance expresses a whole job: the per-node spine
+// start -> map -> merge -> shuffle -> reduce -> gather, with the stage
+// objects from core/pipeline.hpp acting as graph builders. The scheduling
+// policy only changes the map section:
+//   * static dispatch (Eq (8) split): per partition, one dispatch node
+//     charging the serial enqueue cost, then one node per planned CPU/GPU
+//     block (MapStage::plan_static). A block node's work is its device
+//     future — no process, no promise.
+//   * dynamic dispatch (§III.B block polling): one node per partition
+//     whose work is MapStage::start_dynamic; partition nodes chain
+//     serially, like the daemon's polling rounds.
 //
 // Two copy-back shapes:
 //   * depth 1 (faithful): GPU intermediates copied back in bulk after the
-//     map barrier, exactly like MapStage::copy_back — the graph reproduces
-//     the legacy schedule, including virtual time.
-//   * depth >= 2 (overlap): each GPU block gets its own D2H node on the
-//     card's dedicated copy stream, dependent only on that block's kernel;
-//     on devices with more than one hardware queue the copy-back engine
-//     runs beside the remaining compute (Fermi-class 1-queue devices
-//     serialize either way and lose nothing).
+//     map barrier (MapStage::copy_back).
+//   * depth >= 2 (overlap, static dispatch only): each GPU block gets its
+//     own D2H node on the card's dedicated copy stream, dependent only on
+//     that block's kernel; on devices with more than one hardware queue
+//     the copy-back engine runs beside the remaining compute (Fermi-class
+//     1-queue devices serialize either way and lose nothing).
 //
-// Failure semantics: a functional map/reduce payload that throws is caught
-// by a body wrapper that records the failing node in the GraphExecutor
-// (cancelling every not-yet-dispatched node) and rethrows — the error
-// surfaces out of sim.run() at the failing block's completion time, before
-// the stage barrier, wrapped with the graph-node name.
+// Failure semantics: a functional map payload that throws records its
+// graph node in the GraphExecutor (cancelling every not-yet-dispatched
+// node) and rethrows — the error surfaces out of sim.run() at the failing
+// block's completion time, before the stage barrier, wrapped with the
+// graph-node name.
 //
 // NOTE (GCC 12): all co_await sites follow the named-temporary rule
 // documented in simtime/process.hpp.
@@ -51,39 +55,30 @@ inline constexpr int kGraphIterTagStride = 1024;
 
 inline constexpr int kStateBroadcastTag = 400;
 
-/// Late-bound executor handle for the failure path: the body wrappers are
-/// built while the graph is, before the executor exists.
-struct GraphFailBox {
-  graph::GraphExecutor* exec = nullptr;
-};
-
-/// Wraps a functional payload so a throw is recorded against its graph
-/// node (cancelling all pending nodes) before propagating out of the
-/// device worker — first-failure propagation at the block's completion
-/// time instead of an anonymous error.
-inline std::function<void()> graph_wrap_body(
-    std::function<void()> body, std::shared_ptr<GraphFailBox> fail,
-    std::string node_name) {
-  if (!body) return body;
-  return [body = std::move(body), fail = std::move(fail),
-          node_name = std::move(node_name)] {
-    try {
-      body();
-    } catch (...) {
-      if (fail->exec != nullptr) {
-        fail->exec->fail(std::current_exception(), node_name);
-      }
-      throw;
-    }
-  };
+/// Runs a functional block payload. A throw is recorded against the
+/// block's graph node `node` in `exec` (first failure wins; every
+/// not-yet-dispatched node is cancelled) before it propagates out of the
+/// device worker, so the failure surfaces at the block's completion time.
+template <typename Body>
+void run_recording_failure(graph::GraphExecutor& exec, graph::NodeId node,
+                           const Body& body) {
+  try {
+    body();
+  } catch (...) {
+    exec.fail(std::current_exception(), node);
+    throw;
+  }
 }
 
-/// One GPU map block scheduled through the graph; `emitter` is bound when
-/// the kernel node runs and read by the per-block D2H node (the kernel
-/// body has produced its pairs by then).
+/// One map block scheduled through the graph: its input slice, its graph
+/// node (named in failure reports), and for GPU blocks the planned (card,
+/// stream). `emitter` is bound when the block's node runs and read by the
+/// per-block D2H node (the kernel has produced its pairs by then).
 template <typename K, typename V>
-struct GraphGpuBlock {
+struct GraphBlock {
   InputSlice slice;
+  graph::NodeId node = graph::kNoNode;
+  bool gpu = false;
   int card = 0;
   int stream = 0;
   Emitter<K, V>* emitter = nullptr;
@@ -98,11 +93,12 @@ struct GraphRankState {
   std::optional<ShuffleStage<K, V>> shuffle;
   std::optional<ReduceStage<K, V>> reduce;
   std::optional<GatherStage<K, V>> gather;
+  graph::GraphExecutor* exec = nullptr;
   int tag_base = 0;
   double phase_t0 = 0.0;
   double map_t0 = 0.0;
   std::size_t node_items = 0;
-  std::vector<GraphGpuBlock<K, V>> gpu_blocks;
+  std::vector<GraphBlock<K, V>> blocks;  // static map blocks, CPU and GPU
   std::vector<simnet::Message> inbound;
   std::map<K, V> reduced;
   std::size_t reduce_pairs = 0;
@@ -118,9 +114,8 @@ struct GraphJob {
   std::vector<graph::NodeId> rank_done;
 };
 
-/// Builds the JobState (level-1/level-2 scheduling decisions) exactly as
-/// run_job does: per-node Eq (8) split and stream counts, capability-
-/// weighted partitioning. Shared by both engines so they cannot diverge.
+/// Builds the JobState (level-1/level-2 scheduling decisions): per-node
+/// Eq (8) split and stream counts, capability-weighted partitioning.
 template <typename K, typename V>
 std::shared_ptr<JobState<K, V>> make_job_state(Cluster& cluster,
                                                const MapReduceSpec<K, V>& spec,
@@ -155,11 +150,11 @@ std::shared_ptr<JobState<K, V>> make_job_state(Cluster& cluster,
   return st;
 }
 
-// -- graph node coroutines ----------------------------------------------------
-// Free coroutine functions taking their context by value/pointer: the
-// graph stores plain forwarding lambdas, so no coroutine frame ever
-// references a lambda object (the classic captured-lambda-coroutine
-// lifetime bug).
+// -- graph node work ----------------------------------------------------------
+// Multi-step nodes are free coroutine functions taking their context by
+// pointer: the graph stores plain forwarding lambdas, so no coroutine frame
+// ever references a lambda object (the classic captured-lambda-coroutine
+// lifetime bug). Single-step nodes return their device future directly.
 
 template <typename K, typename V>
 sim::Process g_startup(GraphRankState<K, V>* rs,
@@ -201,8 +196,8 @@ sim::Process g_startup(GraphRankState<K, V>* rs,
   done.set_value(sim::Unit{});
 }
 
-/// Per-partition sub-task scheduler round: the same serial dispatch costs
-/// node_main charges before enqueueing a partition's blocks.
+/// Static dispatch round of one partition: the sub-task scheduler's
+/// iteration overhead plus the serial enqueue cost of its blocks.
 template <typename K, typename V>
 sim::Process g_dispatch(GraphRankState<K, V>* rs,
                         sim::Promise<sim::Unit> done) {
@@ -214,46 +209,59 @@ sim::Process g_dispatch(GraphRankState<K, V>* rs,
   done.set_value(sim::Unit{});
 }
 
+/// Dynamic round of one partition: fixed-size blocks polled by idle
+/// device daemons until the partition drains.
 template <typename K, typename V>
-sim::Process g_cpu_block(GraphRankState<K, V>* rs, InputSlice slice,
-                         std::shared_ptr<GraphFailBox> fail,
-                         std::string node_name,
-                         sim::Promise<sim::Unit> done) {
-  auto& st = *rs->ctx.st;
-  simdev::CpuTask t = make_cpu_map_task(st, rs->map->batch(), slice);
-  t.body = graph_wrap_body(std::move(t.body), std::move(fail),
-                           std::move(node_name));
-  ++st.map_tasks;
-  auto fut = rs->ctx.node().cpu().submit(std::move(t));
-  co_await fut;
+sim::Process g_dynamic_partition(GraphRankState<K, V>* rs,
+                                 std::size_t partition,
+                                 sim::Promise<sim::Unit> done) {
+  auto& sim = rs->ctx.sim();
+  auto d = sim::delay(sim, calib::kPrsIterationOverhead);
+  co_await d;
+  auto drained = rs->map->start_dynamic(
+      rs->ctx.st->node_partitions[rs->ctx.rk()][partition]);
+  co_await drained;
   done.set_value(sim::Unit{});
 }
 
-/// GPU block: stages input (when not cached) and launches the kernel on
-/// the planned (card, stream); the stream is an in-order queue, so
-/// awaiting the kernel covers the staging copy too.
+/// Runs one static block's map payload (a throw fails the block's node).
 template <typename K, typename V>
-sim::Process g_gpu_block(GraphRankState<K, V>* rs, std::size_t block_index,
-                         std::shared_ptr<GraphFailBox> fail,
-                         std::string node_name,
-                         sim::Promise<sim::Unit> done) {
+void g_map_payload(GraphRankState<K, V>* rs, GraphBlock<K, V>* blk) {
+  auto body = [rs, blk] {
+    map_payload(*rs->ctx.st, blk->gpu)(blk->slice, *blk->emitter);
+  };
+  run_recording_failure(*rs->exec, blk->node, body);
+  if (blk->gpu) rs->map->batch().gpu_pairs += blk->emitter->size();
+}
+
+/// Static map block: a CPU task, or (staging copy +) kernel on the planned
+/// (card, stream). The stream is an in-order queue, so the kernel's future
+/// covers the staging copy too.
+template <typename K, typename V>
+sim::Future<sim::Unit> g_map_block(GraphRankState<K, V>* rs,
+                                   std::size_t slot) {
   auto& st = *rs->ctx.st;
   const auto& spec = rs->ctx.spec();
-  GraphGpuBlock<K, V>& blk = rs->gpu_blocks[block_index];
-  simdev::Stream& stream = rs->ctx.node().gpu(blk.card).stream(blk.stream);
+  NodeMapBatch<K, V>& batch = rs->map->batch();
+  GraphBlock<K, V>* blk = &rs->blocks[slot];
+  batch.emitters.emplace_back();
+  blk->emitter = &batch.emitters.back();
+  ++st.map_tasks;
+  const bool payload = static_cast<bool>(map_payload(st, blk->gpu));
+  if (!blk->gpu) {
+    simdev::CpuTask t = cpu_map_task(spec, blk->slice);
+    if (payload) t.body = [rs, blk] { g_map_payload(rs, blk); };
+    return rs->ctx.node().cpu().submit(std::move(t));
+  }
+  simdev::Stream& stream = rs->ctx.node().gpu(blk->card).stream(blk->stream);
   if (!spec.gpu_data_cached) {
-    stream.memcpy_h2d(static_cast<double>(blk.slice.size()) *
+    stream.memcpy_h2d(static_cast<double>(blk->slice.size()) *
                       spec.item_bytes);
   }
-  simdev::KernelDesc k = make_gpu_map_kernel(st, rs->map->batch(), blk.slice);
-  blk.emitter = &rs->map->batch().emitters.back();
-  k.body = graph_wrap_body(std::move(k.body), std::move(fail),
-                           std::move(node_name));
-  rs->map->batch().gpu_items += blk.slice.size();
-  ++st.map_tasks;
-  auto fut = stream.launch(std::move(k));
-  co_await fut;
-  done.set_value(sim::Unit{});
+  simdev::KernelDesc k = gpu_map_kernel(spec, blk->slice);
+  if (payload) k.body = [rs, blk] { g_map_payload(rs, blk); };
+  batch.gpu_items += blk->slice.size();
+  return stream.launch(std::move(k));
 }
 
 /// Overlap mode: one D2H copy per GPU block, on the card's dedicated copy
@@ -261,29 +269,21 @@ sim::Process g_gpu_block(GraphRankState<K, V>* rs, std::size_t block_index,
 /// kernel — PCI-E copy-back runs beside the remaining compute instead of
 /// waiting for the stage barrier.
 template <typename K, typename V>
-sim::Process g_block_d2h(GraphRankState<K, V>* rs, std::size_t block_index,
-                         sim::Promise<sim::Unit> done) {
+sim::Future<sim::Unit> g_block_d2h(GraphRankState<K, V>* rs,
+                                   std::size_t slot) {
   const auto& spec = rs->ctx.spec();
-  GraphGpuBlock<K, V>& blk = rs->gpu_blocks[block_index];
-  const double pairs =
-      blk.emitter != nullptr ? static_cast<double>(blk.emitter->size()) : 0.0;
+  const GraphBlock<K, V>& blk = rs->blocks[slot];
   const double bytes =
-      pairs * spec.pair_bytes +
+      static_cast<double>(blk.emitter->size()) * spec.pair_bytes +
       static_cast<double>(blk.slice.size()) * spec.gpu_item_d2h_bytes;
-  if (bytes <= 0.0) {
-    done.set_value(sim::Unit{});
-    co_return;
-  }
+  if (bytes <= 0.0) return sim::make_ready_future(rs->ctx.sim());
   const int copy_stream = rs->ctx.st->gpu_streams[rs->ctx.rk()];
-  simdev::Stream& cs = rs->ctx.node().gpu(blk.card).stream(copy_stream);
-  auto fut = cs.memcpy_d2h(bytes);
-  co_await fut;
-  done.set_value(sim::Unit{});
+  return rs->ctx.node().gpu(blk.card).stream(copy_stream).memcpy_d2h(bytes);
 }
 
-/// Map-stage epilogue. In faithful mode this is the bulk copy-back the
-/// legacy runner does after its barrier; in overlap mode the per-block
-/// D2H nodes already moved the bytes and only the host merge remains.
+/// Map-stage epilogue. In faithful mode this is the bulk copy-back after
+/// the map barrier; in overlap mode the per-block D2H nodes already moved
+/// the bytes and only the host merge remains.
 template <typename K, typename V>
 sim::Process g_merge(GraphRankState<K, V>* rs, bool bulk_copy_back,
                      sim::Promise<sim::Unit> done) {
@@ -363,16 +363,16 @@ inline sim::Process g_state_broadcast(Cluster* cluster, int rank,
 
 // -- graph builder ------------------------------------------------------------
 
-/// Builds one whole job into `g`: the per-rank stage spine with the map
-/// blocks from MapStage::plan_static. `after_per_rank` (when non-empty)
-/// gates each rank's start node on an upstream node — the hook the
-/// pipelined iteration window uses to chain iterations. `name_prefix`
+/// Builds one whole job into `g`, which `exec` will run (payload failures
+/// are recorded there): the per-rank stage spine with the map section the
+/// policy's dispatch mode asks for. `after_per_rank` (when
+/// non-empty) gates each rank's start node on an upstream node — the hook
+/// the pipelined iteration window uses to chain iterations. `name_prefix`
 /// namespaces node names (e.g. "i3:") so windowed graphs stay readable.
 template <typename K, typename V>
 void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
                      Cluster& cluster, SchedulePolicy* policy,
-                     std::shared_ptr<GraphFailBox> fail, bool overlap,
-                     int tag_base,
+                     graph::GraphExecutor* exec, bool overlap, int tag_base,
                      const std::vector<graph::NodeId>& after_per_rank,
                      const std::string& name_prefix) {
   auto& sim = cluster.simulator();
@@ -380,6 +380,7 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
   obs::TraceRecorder* tr = sim.tracer();
   if (tr != nullptr && !tr->enabled()) tr = nullptr;
   const int nodes = cluster.size();
+  const bool dynamic = policy->dispatch() == SchedulingMode::kDynamic;
   job.rank_done.assign(static_cast<std::size_t>(nodes), graph::kNoNode);
 
   for (int r = 0; r < nodes; ++r) {
@@ -390,18 +391,24 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
     rs->ctx.st = st;
     rs->ctx.policy = policy;
     rs->ctx.rank = r;
+    rs->exec = exec;
     rs->tag_base = tag_base;
     if (tr != nullptr) {
       rs->ctx.tr = tr;
       rs->ctx.runner_track =
           tr->track("node" + std::to_string(r), "runner");
+      // The level-2 decision this node runs with: Eq (8)'s CPU share p,
+      // Eqs (9)-(11)'s stream count, and the block granularities.
       tr->instant(
           rs->ctx.runner_track, "sched.decision", "sched",
           {obs::arg("p", st->cpu_fraction[rk]),
            obs::arg("gpu_streams", st->gpu_streams[rk]),
            obs::arg("partitions", static_cast<std::uint64_t>(
                                       st->node_partitions[rk].size())),
-           obs::arg("engine", "graph"),
+           obs::arg("cpu_blocks",
+                    roofline::AnalyticScheduler::cpu_block_count(
+                        rs->ctx.node().cpu().cores(),
+                        st->cfg.cpu_block_multiplier)),
            obs::arg("mode", policy->name())});
     }
     rs->map.emplace(rs->ctx);
@@ -412,112 +419,116 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
 
     const std::string rp = name_prefix + "n" + std::to_string(r) + ":";
     const graph::NodeId start = g.add_work(
-        rp + "start", "delay", r,
-        [rs](sim::Simulator& s, sim::Promise<sim::Unit> done) {
-          (void)s;
-          return g_startup<K, V>(rs, std::move(done));
+        rp + "start", "delay", r, [rs](sim::Simulator& s) {
+          return graph::spawn_work(s, [rs](sim::Promise<sim::Unit> done) {
+            return g_startup<K, V>(rs, std::move(done));
+          });
         });
     if (!after_per_rank.empty()) g.depend(start, after_per_rank[rk]);
 
-    // Partition rounds chain serially (the daemon thread dispatches one
-    // partition's blocks before moving to the next), but a partition's
-    // blocks do NOT gate the next round — exactly the legacy timeline.
+    // Partition rounds chain serially (the daemon thread handles one
+    // partition before moving to the next). A static partition's blocks
+    // do NOT gate the next round; a dynamic round drains before the next.
     std::vector<graph::NodeId> tails;  // everything the merge waits on
-    graph::NodeId prev_dispatch = start;
-    int pi = 0;
-    for (const auto& partition : st->node_partitions[rk]) {
-      if (partition.empty()) continue;
-      const std::string pp = rp + "p" + std::to_string(pi) + ":";
-      const graph::NodeId disp = g.add_work(
-          pp + "dispatch", "delay", r,
-          [rs](sim::Simulator& s, sim::Promise<sim::Unit> done) {
-            (void)s;
-            return g_dispatch<K, V>(rs, std::move(done));
-          });
-      g.depend(disp, prev_dispatch);
-      prev_dispatch = disp;
-
-      const auto plan = rs->map->plan_static(partition);
-      int bi = 0;
-      for (const InputSlice& b : plan.cpu_blocks) {
-        const std::string name =
-            pp + "map:cpu" + std::to_string(bi++);
-        const graph::NodeId n = g.add_work(
-            name, "cpu", r,
-            [rs, b, fail, name](sim::Simulator& s,
-                                sim::Promise<sim::Unit> done) {
-              (void)s;
-              return g_cpu_block<K, V>(rs, b, fail, name, std::move(done));
+    graph::NodeId prev_round = start;
+    const auto& partitions = st->node_partitions[rk];
+    for (std::size_t pi = 0, round = 0; pi < partitions.size(); ++pi) {
+      if (partitions[pi].empty()) continue;
+      const std::string pp = rp + "p" + std::to_string(round++) + ":";
+      if (dynamic) {
+        const graph::NodeId part = g.add_work(
+            pp + "map:dynamic", "cpu", r, [rs, pi](sim::Simulator& s) {
+              return graph::spawn_work(
+                  s, [rs, pi](sim::Promise<sim::Unit> done) {
+                    return g_dynamic_partition<K, V>(rs, pi, std::move(done));
+                  });
             });
-        g.depend(n, disp);
-        tails.push_back(n);
+        g.depend(part, prev_round);
+        prev_round = part;
+        continue;
       }
-      bi = 0;
-      for (const auto& gb : plan.gpu_blocks) {
-        const std::size_t slot = rs->gpu_blocks.size();
-        GraphGpuBlock<K, V> blk;
-        blk.slice = gb.slice;
-        blk.card = gb.card;
-        blk.stream = gb.stream;
-        rs->gpu_blocks.push_back(blk);
-        const std::string name =
-            pp + "map:gpu" + std::to_string(bi++);
-        const graph::NodeId n = g.add_work(
-            name, "kernel", r,
-            [rs, slot, fail, name](sim::Simulator& s,
-                                   sim::Promise<sim::Unit> done) {
-              (void)s;
-              return g_gpu_block<K, V>(rs, slot, fail, name,
-                                       std::move(done));
+      const graph::NodeId disp = g.add_work(
+          pp + "dispatch", "delay", r, [rs](sim::Simulator& s) {
+            return graph::spawn_work(s, [rs](sim::Promise<sim::Unit> done) {
+              return g_dispatch<K, V>(rs, std::move(done));
             });
+          });
+      g.depend(disp, prev_round);
+      prev_round = disp;
+
+      const auto plan = rs->map->plan_static(partitions[pi]);
+      // One node per block, named "<pp>map:cpu<i>" / "<pp>map:gpu<i>",
+      // built in one buffer (block nodes dominate graph construction).
+      auto add_block = [&](GraphBlock<K, V> blk, std::size_t bi) {
+        std::string name;
+        name.reserve(pp.size() + 16);
+        name.append(pp).append(blk.gpu ? "map:gpu" : "map:cpu");
+        name.append(std::to_string(bi));
+        const std::size_t slot = rs->blocks.size();
+        rs->blocks.push_back(blk);
+        const graph::NodeId n = g.add_work(
+            std::move(name), blk.gpu ? "kernel" : "cpu", r,
+            [rs, slot](sim::Simulator&) { return g_map_block(rs, slot); });
+        rs->blocks[slot].node = n;
         g.depend(n, disp);
-        if (overlap) {
+        if (blk.gpu && overlap) {
           const graph::NodeId d2h = g.add_work(
-              name + ":d2h", "d2h", r,
-              [rs, slot](sim::Simulator& s, sim::Promise<sim::Unit> done) {
-                (void)s;
-                return g_block_d2h<K, V>(rs, slot, std::move(done));
-              });
+              g.node(n).name + ":d2h", "d2h", r,
+              [rs, slot](sim::Simulator&) { return g_block_d2h(rs, slot); });
           g.depend(d2h, n);
           tails.push_back(d2h);
         } else {
           tails.push_back(n);
         }
+      };
+      for (std::size_t bi = 0; bi < plan.cpu_blocks.size(); ++bi) {
+        GraphBlock<K, V> blk;
+        blk.slice = plan.cpu_blocks[bi];
+        add_block(blk, bi);
       }
-      ++pi;
+      for (std::size_t bi = 0; bi < plan.gpu_blocks.size(); ++bi) {
+        GraphBlock<K, V> blk;
+        blk.slice = plan.gpu_blocks[bi].slice;
+        blk.gpu = true;
+        blk.card = plan.gpu_blocks[bi].card;
+        blk.stream = plan.gpu_blocks[bi].stream;
+        add_block(blk, bi);
+      }
     }
 
     const bool bulk = !overlap;
     const graph::NodeId merge = g.add_work(
         rp + "merge", overlap ? "host" : "d2h", r,
-        [rs, bulk](sim::Simulator& s, sim::Promise<sim::Unit> done) {
-          (void)s;
-          return g_merge<K, V>(rs, bulk, std::move(done));
+        [rs, bulk](sim::Simulator& s) {
+          return graph::spawn_work(
+              s, [rs, bulk](sim::Promise<sim::Unit> done) {
+                return g_merge<K, V>(rs, bulk, std::move(done));
+              });
         });
-    g.depend(merge, prev_dispatch);  // empty-partition ranks still merge
+    g.depend(merge, prev_round);  // empty-partition ranks still merge
     g.depend_all(merge, tails);
 
     const graph::NodeId shuffle = g.add_work(
-        rp + "shuffle", "net", r,
-        [rs](sim::Simulator& s, sim::Promise<sim::Unit> done) {
-          (void)s;
-          return g_shuffle<K, V>(rs, std::move(done));
+        rp + "shuffle", "net", r, [rs](sim::Simulator& s) {
+          return graph::spawn_work(s, [rs](sim::Promise<sim::Unit> done) {
+            return g_shuffle<K, V>(rs, std::move(done));
+          });
         });
     g.depend(shuffle, merge);
 
     const graph::NodeId reduce = g.add_work(
-        rp + "reduce", "cpu", r,
-        [rs](sim::Simulator& s, sim::Promise<sim::Unit> done) {
-          (void)s;
-          return g_reduce<K, V>(rs, std::move(done));
+        rp + "reduce", "cpu", r, [rs](sim::Simulator& s) {
+          return graph::spawn_work(s, [rs](sim::Promise<sim::Unit> done) {
+            return g_reduce<K, V>(rs, std::move(done));
+          });
         });
     g.depend(reduce, shuffle);
 
     const graph::NodeId gather = g.add_work(
-        rp + "gather", "net", r,
-        [rs](sim::Simulator& s, sim::Promise<sim::Unit> done) {
-          (void)s;
-          return g_gather<K, V>(rs, std::move(done));
+        rp + "gather", "net", r, [rs](sim::Simulator& s) {
+          return graph::spawn_work(s, [rs](sim::Promise<sim::Unit> done) {
+            return g_gather<K, V>(rs, std::move(done));
+          });
         });
     g.depend(gather, reduce);
     job.rank_done[rk] = gather;
@@ -533,9 +544,35 @@ inline void write_graph_dot(const graph::TaskGraph& g,
   if (!out) throw Error("failed writing graph dump file: " + path);
 }
 
-/// Runs one job through the task-graph engine. Numeric results are
-/// byte-identical to run_job's stage path; at pipeline_depth 1 virtual
-/// time matches too (the graph reproduces the legacy schedule).
+/// Executes the graph `exec` was made for to completion. A node failure
+/// resurfaces as an Error naming the failing node ("task graph node
+/// '<name>' failed: ...").
+inline void execute_graph(sim::Simulator& sim, graph::GraphExecutor& exec) {
+  auto named = [&exec](const std::exception& e) {
+    return Error("task graph node '" + exec.failure_site() +
+                 "' failed: " + e.what());
+  };
+  exec.start();
+  try {
+    sim.run();
+  } catch (const Error&) {
+    throw;  // already carries context (or is a runtime invariant)
+  } catch (const std::exception& e) {
+    if (exec.failed()) throw named(e);
+    throw;
+  }
+  if (exec.failed()) {
+    try {
+      exec.rethrow_if_failed();
+    } catch (const std::exception& e) {
+      throw named(e);
+    }
+  }
+  PRS_CHECK(exec.done(), "job graph drained with unfinished nodes");
+}
+
+/// Runs one fault-free job as a task graph and drives the simulator until
+/// it completes.
 template <typename K, typename V>
 JobResult<K, V> run_job_graph(Cluster& cluster,
                               const MapReduceSpec<K, V>& spec,
@@ -545,9 +582,10 @@ JobResult<K, V> run_job_graph(Cluster& cluster,
   GraphJob<K, V> job;
   job.st = make_job_state(cluster, spec, cfg, n_items, policy);
   graph::TaskGraph g(spec.name + ":job");
-  auto fail = std::make_shared<GraphFailBox>();
-  const bool overlap = cfg.pipeline_depth > 1;
-  build_job_graph(g, job, cluster, policy, fail, overlap, /*tag_base=*/0,
+  graph::GraphExecutor exec(sim, g);
+  const bool overlap = cfg.pipeline_depth > 1 &&
+                       policy->dispatch() == SchedulingMode::kStatic;
+  build_job_graph(g, job, cluster, policy, &exec, overlap, /*tag_base=*/0,
                   {}, "");
   if (!cfg.graph_dump_path.empty()) {
     write_graph_dot(g, cfg.graph_dump_path);
@@ -555,29 +593,7 @@ JobResult<K, V> run_job_graph(Cluster& cluster,
 
   const double t0 = sim.now();
   const ClusterCounters counters0 = snapshot_counters(cluster);
-  graph::GraphExecutor exec(sim, g);
-  fail->exec = &exec;
-  exec.start();
-  try {
-    sim.run();
-  } catch (const Error&) {
-    throw;  // already carries context (or is a runtime invariant)
-  } catch (const std::exception& e) {
-    if (exec.failed()) {
-      throw Error("task graph node '" + exec.failure_site() +
-                  "' failed: " + e.what());
-    }
-    throw;
-  }
-  if (exec.failed()) {
-    try {
-      exec.rethrow_if_failed();
-    } catch (const std::exception& e) {
-      throw Error("task graph node '" + exec.failure_site() +
-                  "' failed: " + e.what());
-    }
-  }
-  PRS_CHECK(exec.done(), "job graph drained with unfinished nodes");
+  execute_graph(sim, exec);
   PRS_CHECK(job.st->nodes_done == cluster.size(),
             "job finished with missing nodes");
 
@@ -585,6 +601,8 @@ JobResult<K, V> run_job_graph(Cluster& cluster,
   result.output = std::move(job.st->final_output);
   result.stats =
       collect_stats(cluster, counters0, *job.st, sim.now() - t0);
+  // Feed observed per-node busy times back so stateful policies (adaptive)
+  // can refine their split for the next job/iteration.
   policy->observe(collect_feedback(cluster, counters0,
                                    job.st->cpu_fraction,
                                    result.stats.elapsed));
@@ -638,7 +656,7 @@ WindowResult<K, V> run_job_window(
   auto& sim = cluster.simulator();
   const int nodes = cluster.size();
   graph::TaskGraph g(spec.name + ":window@" + std::to_string(first_iter));
-  auto fail = std::make_shared<GraphFailBox>();
+  graph::GraphExecutor exec(sim, g);
   auto win = std::make_shared<GraphWindow<K, V>>();
   std::vector<GraphJob<K, V>> jobs;
   jobs.reserve(static_cast<std::size_t>(window));
@@ -663,11 +681,12 @@ WindowResult<K, V> run_job_window(
         const int tag = kStateBroadcastTag + tag_base;
         const graph::NodeId bc = g.add_work(
             prefix + "n" + std::to_string(r) + ":state-bcast", "net", r,
-            [cl = &cluster, r, state_bytes, tag](
-                sim::Simulator& s, sim::Promise<sim::Unit> done) {
-              (void)s;
-              return g_state_broadcast(cl, r, state_bytes, tag,
-                                       std::move(done));
+            [cl = &cluster, r, state_bytes, tag](sim::Simulator& s) {
+              return graph::spawn_work(
+                  s, [cl, r, state_bytes, tag](sim::Promise<sim::Unit> done) {
+                    return g_state_broadcast(cl, r, state_bytes, tag,
+                                             std::move(done));
+                  });
             });
         g.depend(bc, prev_advance);
         after[static_cast<std::size_t>(r)] = bc;
@@ -675,7 +694,7 @@ WindowResult<K, V> run_job_window(
     } else if (prev_advance != graph::kNoNode) {
       after.assign(static_cast<std::size_t>(nodes), prev_advance);
     }
-    build_job_graph(g, job, cluster, policy, fail, /*overlap=*/true,
+    build_job_graph(g, job, cluster, policy, &exec, /*overlap=*/true,
                     tag_base, after, prefix);
 
     const graph::NodeId advance = g.add_host(
@@ -696,29 +715,7 @@ WindowResult<K, V> run_job_window(
 
   const double t0 = sim.now();
   const ClusterCounters counters0 = snapshot_counters(cluster);
-  graph::GraphExecutor exec(sim, g);
-  fail->exec = &exec;
-  exec.start();
-  try {
-    sim.run();
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception& e) {
-    if (exec.failed()) {
-      throw Error("task graph node '" + exec.failure_site() +
-                  "' failed: " + e.what());
-    }
-    throw;
-  }
-  if (exec.failed()) {
-    try {
-      exec.rethrow_if_failed();
-    } catch (const std::exception& e) {
-      throw Error("task graph node '" + exec.failure_site() +
-                  "' failed: " + e.what());
-    }
-  }
-  PRS_CHECK(exec.done(), "iteration window drained with unfinished nodes");
+  execute_graph(sim, exec);
   for (const auto& job : jobs) {
     PRS_CHECK(job.st->nodes_done == nodes,
               "window iteration finished with missing nodes");

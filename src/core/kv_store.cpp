@@ -1,10 +1,10 @@
-#include "numa/kv_store.hpp"
+#include "core/kv_store.hpp"
 
 #include <utility>
 
 #include "common/error.hpp"
 
-namespace prs::numa {
+namespace prs::core {
 namespace {
 
 std::size_t round_up_pow2(std::size_t n) {
@@ -71,4 +71,4 @@ std::map<std::string, long> merge_lane_stores(
   return out;
 }
 
-}  // namespace prs::numa
+}  // namespace prs::core

@@ -1,4 +1,4 @@
-// Metis-style per-lane intermediate kv-store for the shuffle phase.
+// Metis-style per-lane intermediate kv-store: wordcount's map-side shuffle.
 //
 // The Metis MapReduce runtime keeps one hash store per core: each mapper
 // writes only its own store — no locks, no cache-line ping-pong, and with
@@ -28,7 +28,7 @@
 #include <string_view>
 #include <vector>
 
-namespace prs::numa {
+namespace prs::core {
 
 /// FNV-1a 64-bit — cheap, dependency-free, and stable across platforms
 /// (the store's iteration order must not leak into results anyway).
@@ -91,4 +91,4 @@ class LaneKvStore {
 std::map<std::string, long> merge_lane_stores(
     const std::vector<LaneKvStore>& stores);
 
-}  // namespace prs::numa
+}  // namespace prs::core

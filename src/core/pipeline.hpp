@@ -1,12 +1,14 @@
 // Stage objects of the PRS execution pipeline (paper §III.A.2):
 // map -> combine -> shuffle -> reduce -> gather, one instance per node per
-// job, composed by the thin node_main orchestrator in job_runner.hpp.
+// job. The task-graph builder in job_graph.hpp composes them into one
+// graph per job; the fault-tolerant runner reuses the batch and
+// accounting helpers.
 //
-// Each stage owns its logic, accounting, and tracing/metrics sites; every
-// co_await stays in node_main so the orchestrator remains the single
-// coroutine and stages stay plain (unit-sized, testable) objects. The only
-// auxiliary processes are the dynamic-mode device daemons and the block
-// dispatcher (§III.B.2), spawned by MapStage::start_dynamic.
+// Each stage owns its logic, accounting, and tracing/metrics sites; the
+// graph nodes hold the co_await sites, so stages stay plain (unit-sized,
+// testable) objects. The only auxiliary processes are the dynamic-mode
+// device daemons and the block dispatcher (§III.B.2), spawned by
+// MapStage::start_dynamic.
 //
 // NOTE (GCC 12): all co_await sites follow the named-temporary rule
 // documented in simtime/process.hpp.
@@ -96,19 +98,25 @@ struct StageContext {
 /// Per-node transient state for the map stage.
 template <typename K, typename V>
 struct NodeMapBatch {
-  std::deque<Emitter<K, V>> emitters;           // one per map task
-  std::vector<sim::Future<sim::Unit>> futures;  // one per async device op
-  std::uint64_t gpu_pairs = 0;                  // pairs produced on the GPU
-  std::uint64_t gpu_items = 0;                  // input items mapped on GPU
+  std::deque<Emitter<K, V>> emitters;  // one per map task
+  std::uint64_t gpu_pairs = 0;         // pairs produced on the GPU
+  std::uint64_t gpu_items = 0;         // input items mapped on GPU
 };
 
-/// Builds the timed CPU map task for `slice` (payload emits into a fresh
-/// emitter owned by `batch`).
+/// The map payload this job runs on `gpu` or CPU blocks: the real kernel
+/// in functional mode, the modeled stand-in otherwise (may be empty).
 template <typename K, typename V>
-simdev::CpuTask make_cpu_map_task(const JobState<K, V>& st,
-                                  NodeMapBatch<K, V>& batch,
-                                  InputSlice slice) {
+const typename MapReduceSpec<K, V>::MapFn& map_payload(
+    const JobState<K, V>& st, bool gpu) {
   const auto& spec = *st.spec;
+  if (st.cfg.mode != ExecutionMode::kFunctional) return spec.modeled_map;
+  return gpu ? spec.gpu_map_or_default() : spec.cpu_map;
+}
+
+/// The timed CPU map task for `slice`, without its payload.
+template <typename K, typename V>
+simdev::CpuTask cpu_map_task(const MapReduceSpec<K, V>& spec,
+                             InputSlice slice) {
   const auto items = static_cast<double>(slice.size());
   simdev::CpuTask t;
   t.name = spec.name + ":map:cpu";
@@ -116,14 +124,35 @@ simdev::CpuTask make_cpu_map_task(const JobState<K, V>& st,
   t.workload.mem_traffic = items * spec.cpu_traffic_per_item();
   t.compute_efficiency = spec.efficiency.cpu_compute;
   t.memory_efficiency = spec.efficiency.cpu_memory;
+  return t;
+}
 
+/// The timed GPU map kernel for `slice`, without its payload.
+template <typename K, typename V>
+simdev::KernelDesc gpu_map_kernel(const MapReduceSpec<K, V>& spec,
+                                  InputSlice slice) {
+  const auto items = static_cast<double>(slice.size());
+  simdev::KernelDesc k;
+  k.name = spec.name + ":map:gpu";
+  k.workload.flops = items * spec.gpu_flops_per_item;
+  k.workload.mem_traffic = items * spec.gpu_traffic_per_item();
+  k.compute_efficiency = spec.efficiency.gpu_compute;
+  k.memory_efficiency = spec.efficiency.gpu_memory;
+  return k;
+}
+
+/// Builds the timed CPU map task for `slice` (payload emits into a fresh
+/// emitter owned by `batch`).
+template <typename K, typename V>
+simdev::CpuTask make_cpu_map_task(const JobState<K, V>& st,
+                                  NodeMapBatch<K, V>& batch,
+                                  InputSlice slice) {
+  simdev::CpuTask t = cpu_map_task(*st.spec, slice);
   batch.emitters.emplace_back();
   Emitter<K, V>* emitter = &batch.emitters.back();
-  const auto& fn = st.cfg.mode == ExecutionMode::kFunctional
-                       ? spec.cpu_map
-                       : spec.modeled_map;
-  if (fn) {
-    t.body = [fn, slice, emitter] { fn(slice, *emitter); };
+  const auto* fn = &map_payload(st, /*gpu=*/false);
+  if (*fn) {
+    t.body = [fn, slice, emitter] { (*fn)(slice, *emitter); };
   }
   return t;
 }
@@ -133,24 +162,14 @@ template <typename K, typename V>
 simdev::KernelDesc make_gpu_map_kernel(const JobState<K, V>& st,
                                        NodeMapBatch<K, V>& batch,
                                        InputSlice slice) {
-  const auto& spec = *st.spec;
-  const auto items = static_cast<double>(slice.size());
-  simdev::KernelDesc k;
-  k.name = spec.name + ":map:gpu";
-  k.workload.flops = items * spec.gpu_flops_per_item;
-  k.workload.mem_traffic = items * spec.gpu_traffic_per_item();
-  k.compute_efficiency = spec.efficiency.gpu_compute;
-  k.memory_efficiency = spec.efficiency.gpu_memory;
-
+  simdev::KernelDesc k = gpu_map_kernel(*st.spec, slice);
   batch.emitters.emplace_back();
   Emitter<K, V>* emitter = &batch.emitters.back();
   NodeMapBatch<K, V>* b = &batch;
-  const auto& fn = st.cfg.mode == ExecutionMode::kFunctional
-                       ? spec.gpu_map_or_default()
-                       : spec.modeled_map;
-  if (fn) {
+  const auto* fn = &map_payload(st, /*gpu=*/true);
+  if (*fn) {
     k.body = [fn, slice, emitter, b] {
-      fn(slice, *emitter);
+      (*fn)(slice, *emitter);
       b->gpu_pairs += emitter->size();
     };
   }
@@ -236,9 +255,9 @@ void combine_into(const MapReduceSpec<K, V>& spec, std::map<K, V>& acc,
 
 // -- map stage ----------------------------------------------------------------
 
-/// §III.A.2 map stage: dispatches map blocks to the device daemons (static
-/// enqueue or dynamic channel polling per the policy), then copies GPU
-/// intermediates back and charges host-side key/value handling.
+/// §III.A.2 map stage: plans static map blocks (one graph node each) or
+/// runs dynamic channel polling, then copies GPU intermediates back and
+/// charges host-side key/value handling.
 template <typename K, typename V>
 class MapStage {
  public:
@@ -271,9 +290,8 @@ class MapStage {
 
   /// The static sub-task plan for one partition: CPU share into
   /// multiplier x cores blocks, GPU share into one block per (card,
-  /// stream) round-robin. Pure description — shared by the legacy enqueue
-  /// below and the task-graph builder (core/job_graph.hpp), so both paths
-  /// produce the same blocks in the same order.
+  /// stream) round-robin. Pure description — the task-graph builder
+  /// (core/job_graph.hpp) turns each block into one graph node.
   struct StaticPlan {
     std::vector<InputSlice> cpu_blocks;
     std::vector<GpuBlockPlan> gpu_blocks;
@@ -313,31 +331,6 @@ class MapStage {
     return plan;
   }
 
-  /// Static dispatch of one partition: enqueues every planned block on its
-  /// device. Pure enqueue, no await.
-  void dispatch_static(const InputSlice& partition) {
-    auto& st = *ctx_.st;
-    FatNode& node = ctx_.node();
-    const auto& spec = ctx_.spec();
-    const StaticPlan plan = plan_static(partition);
-    for (const InputSlice& b : plan.cpu_blocks) {
-      simdev::CpuTask t = make_cpu_map_task(st, batch_, b);
-      batch_.futures.push_back(node.cpu().submit(std::move(t)));
-      ++st.map_tasks;
-    }
-    for (const GpuBlockPlan& gb : plan.gpu_blocks) {
-      simdev::Stream& stream = node.gpu(gb.card).stream(gb.stream);
-      if (!spec.gpu_data_cached) {
-        batch_.futures.push_back(stream.memcpy_h2d(
-            static_cast<double>(gb.slice.size()) * spec.item_bytes));
-      }
-      simdev::KernelDesc k = make_gpu_map_kernel(st, batch_, gb.slice);
-      batch_.futures.push_back(stream.launch(std::move(k)));
-      batch_.gpu_items += gb.slice.size();
-      ++st.map_tasks;
-    }
-  }
-
   /// Dynamic dispatch of one partition: spawns the per-device block
   /// workers and the serial dispatcher; the returned future resolves when
   /// every worker has drained the channel and finished.
@@ -374,11 +367,6 @@ class MapStage {
     }
     sim.spawn(block_dispatcher(sim, st, std::move(blocks_list), *blocks));
     return all_done.get_future();
-  }
-
-  /// Barrier over this node's asynchronous map work (static mode).
-  sim::Future<sim::Unit> barrier() {
-    return sim::when_all(ctx_.sim(), batch_.futures);
   }
 
   /// Intermediate data in GPU memory is copied back to CPU memory after

@@ -18,6 +18,7 @@ void GraphExecutor::start() {
   graph_.validate();
   indegree_.assign(graph_.size(), 0);
   state_.assign(graph_.size(), kPending);
+  start_time_.assign(graph_.size(), 0.0);
   for (NodeId id = 0; id < graph_.size(); ++id) {
     indegree_[id] = graph_.node(id).deps.size();
   }
@@ -64,16 +65,16 @@ void GraphExecutor::dispatch(NodeId id) {
     complete(id);
     return;
   }
-  // Work node: spawn the coroutine; completion arrives through the
-  // promise's event, preserving simulator determinism.
-  sim::Promise<sim::Unit> done(sim_);
-  sim::Future<sim::Unit> fut = done.get_future();
-  fut.on_ready([this, id, t0](const sim::Unit&) { finish_async(id, t0); });
-  sim_.spawn(n.work(sim_, std::move(done)));
+  // Work node: completion arrives through the returned future's event,
+  // preserving simulator determinism. The callback captures two words so
+  // it fits std::function's inline buffer (no allocation per node).
+  start_time_[id] = t0;
+  sim::Future<sim::Unit> fut = n.work(sim_);
+  fut.on_ready([this, id](const sim::Unit&) { finish_async(id); });
 }
 
-void GraphExecutor::finish_async(NodeId id, double t0) {
-  record_span(graph_.node(id), t0, sim_.now());
+void GraphExecutor::finish_async(NodeId id) {
+  record_span(graph_.node(id), start_time_[id], sim_.now());
   complete(id);
 }
 
@@ -84,17 +85,22 @@ void GraphExecutor::complete(NodeId id) {
   const TaskNode& n = graph_.node(id);
   // Newly-ready successors, dispatched in ascending id order. Collect
   // first: a successor completing inline could in principle unblock
-  // another entry of this list.
-  std::vector<NodeId> ready;
+  // another entry of this list. The list is this call's segment of
+  // ready_, used as a stack: inline completions push their own segment
+  // above it and pop it before returning.
+  const std::size_t base = ready_.size();
   for (NodeId out : n.outs) {
     if (--indegree_[out] == 0 && state_[out] == kPending) {
-      ready.push_back(out);
+      ready_.push_back(out);
     }
   }
-  std::sort(ready.begin(), ready.end());
-  for (NodeId r : ready) {
+  const std::size_t end = ready_.size();
+  std::sort(ready_.begin() + static_cast<std::ptrdiff_t>(base), ready_.end());
+  for (std::size_t i = base; i < end; ++i) {
+    const NodeId r = ready_[i];
     if (state_[r] == kPending) dispatch(r);
   }
+  ready_.resize(base);
 }
 
 void GraphExecutor::cancel_pending() {

@@ -2,9 +2,9 @@
 //
 // start() dispatches every zero-indegree node in ascending id order; as
 // nodes complete, newly-ready successors are dispatched (again ascending).
-// Host nodes run inline at dispatch (zero virtual time); work nodes are
-// spawned as simulator processes and complete when they resolve their
-// Promise<Unit>. Drive the simulator (sim.run() or step loop) after
+// Host nodes run inline at dispatch (zero virtual time); a work node's
+// WorkFn is called at dispatch and the node completes when the future it
+// returned resolves. Drive the simulator (sim.run() or step loop) after
 // start(); the graph is drained when done().
 //
 // Failure model: the first failure wins. fail() records the exception and
@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <exception>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/task_graph.hpp"
@@ -52,6 +53,10 @@ class GraphExecutor {
   /// Records the first failure (later calls are ignored) and cancels all
   /// pending nodes. `where` names the failing node for diagnostics.
   void fail(std::exception_ptr error, const std::string& where);
+  /// Same, naming the failing node by id.
+  void fail(std::exception_ptr error, NodeId where) {
+    fail(std::move(error), graph_.node(where).name);
+  }
 
   bool failed() const { return error_ != nullptr; }
   const std::string& failure_site() const { return error_site_; }
@@ -66,13 +71,15 @@ class GraphExecutor {
 
   void dispatch(NodeId id);
   void complete(NodeId id);
-  void finish_async(NodeId id, double t0);
+  void finish_async(NodeId id);
   void record_span(const TaskNode& n, double t0, double t1);
 
   sim::Simulator& sim_;
   TaskGraph& graph_;
   std::vector<std::size_t> indegree_;
   std::vector<State> state_;
+  std::vector<double> start_time_;  // dispatch time of each work node
+  std::vector<NodeId> ready_;       // complete()'s newly-ready stack
   std::size_t finished_ = 0;
   std::size_t completed_ = 0;
   std::size_t cancelled_ = 0;

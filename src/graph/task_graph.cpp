@@ -8,30 +8,25 @@
 
 namespace prs::graph {
 
-NodeId TaskGraph::add_node(TaskNode n) {
-  nodes_.push_back(std::move(n));
-  return nodes_.size() - 1;
+TaskNode& TaskGraph::add_node(std::string name, std::string kind, int rank) {
+  TaskNode& n = nodes_.emplace_back();
+  n.name = std::move(name);
+  n.kind = std::move(kind);
+  n.rank = rank;
+  return n;
 }
 
 NodeId TaskGraph::add_host(std::string name, std::string kind, int rank,
                            std::function<void()> fn) {
-  TaskNode n;
-  n.name = std::move(name);
-  n.kind = std::move(kind);
-  n.rank = rank;
-  n.host = std::move(fn);
-  return add_node(std::move(n));
+  add_node(std::move(name), std::move(kind), rank).host = std::move(fn);
+  return nodes_.size() - 1;
 }
 
 NodeId TaskGraph::add_work(std::string name, std::string kind, int rank,
                            WorkFn fn) {
-  PRS_REQUIRE(fn != nullptr, "add_work requires a coroutine factory");
-  TaskNode n;
-  n.name = std::move(name);
-  n.kind = std::move(kind);
-  n.rank = rank;
-  n.work = std::move(fn);
-  return add_node(std::move(n));
+  PRS_REQUIRE(fn != nullptr, "add_work requires a work function");
+  add_node(std::move(name), std::move(kind), rank).work = std::move(fn);
+  return nodes_.size() - 1;
 }
 
 void TaskGraph::depend(NodeId node, NodeId before) {

@@ -6,10 +6,12 @@
 //   * host nodes  — a plain std::function<void()> that runs synchronously
 //     at dispatch time (zero virtual time). Used for merges, bookkeeping,
 //     convergence checks and stage-gate callbacks.
-//   * work nodes  — a coroutine factory (WorkFn) that the executor spawns
-//     as a simulator process. The factory receives a Promise<Unit> it must
-//     resolve when the node's virtual-time work (CPU task, GPU kernel,
-//     PCI-E copy, fabric message, plain delay) is done.
+//   * work nodes  — a WorkFn the executor calls when the node becomes
+//     ready. It starts the node's virtual-time work (CPU task, GPU kernel,
+//     PCI-E copy, fabric message, plain delay) and returns the future that
+//     resolves when that work is done. A single-step node returns its
+//     device future directly (no process, no promise); a multi-step node
+//     runs one coroutine behind spawn_work().
 //
 // The graph is a pure description: building it performs no simulation.
 // GraphExecutor (graph/executor.hpp) walks it deterministically.
@@ -24,6 +26,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simtime/future.hpp"
@@ -38,12 +41,20 @@ using NodeId = std::size_t;
 /// builders thread an optional predecessor without branching.
 inline constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
 
-/// Coroutine factory for a work node. Spawned by the executor when the
-/// node becomes ready; must resolve `done` exactly once (even on the
-/// error path — failures are reported via GraphExecutor::fail instead of
-/// leaking an unresolved promise).
-using WorkFn =
-    std::function<sim::Process(sim::Simulator&, sim::Promise<sim::Unit>)>;
+/// Work body of a node: called once, when the node becomes ready; returns
+/// the future of the node's virtual-time work. Failures are reported via
+/// GraphExecutor::fail, never by leaving the future unresolved.
+using WorkFn = std::function<sim::Future<sim::Unit>(sim::Simulator&)>;
+
+/// Runs a multi-step work body as one simulator process. `body` takes the
+/// Promise<Unit> it must resolve exactly once and returns the coroutine.
+template <typename Body>
+sim::Future<sim::Unit> spawn_work(sim::Simulator& sim, Body&& body) {
+  sim::Promise<sim::Unit> done(sim);
+  sim::Future<sim::Unit> fut = done.get_future();
+  sim.spawn(std::forward<Body>(body)(std::move(done)));
+  return fut;
+}
 
 /// One codelet instance. `kind` is a coarse class used for tracing and
 /// DOT styling: "host", "cpu", "kernel", "h2d", "d2h", "net", "delay".
@@ -65,7 +76,7 @@ class TaskGraph {
   NodeId add_host(std::string name, std::string kind, int rank,
                   std::function<void()> fn);
 
-  /// Adds a work node (spawned as a simulator process when ready).
+  /// Adds a work node (its WorkFn is called when the node is ready).
   NodeId add_work(std::string name, std::string kind, int rank, WorkFn fn);
 
   /// Adds the edge `before -> node`. No-op when before == kNoNode;
@@ -89,7 +100,7 @@ class TaskGraph {
   std::string to_dot() const;
 
  private:
-  NodeId add_node(TaskNode n);
+  TaskNode& add_node(std::string name, std::string kind, int rank);
 
   std::string name_;
   std::vector<TaskNode> nodes_;

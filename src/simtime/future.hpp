@@ -132,15 +132,19 @@ Future<bool> with_timeout(Simulator& sim, const Future<T>& f, Time dt) {
   return done->get_future();
 }
 
+/// An already-resolved Future<Unit> (awaiting it does not suspend).
+inline Future<Unit> make_ready_future(Simulator& sim) {
+  Promise<Unit> p(sim);
+  p.set_value(Unit{});
+  return p.get_future();
+}
+
 /// Future that resolves when all inputs have resolved; carries the count.
 template <typename T>
 Future<Unit> when_all(Simulator& sim, const std::vector<Future<T>>& futures) {
+  if (futures.empty()) return make_ready_future(sim);
   auto done = std::make_shared<Promise<Unit>>(sim);
   auto remaining = std::make_shared<std::size_t>(futures.size());
-  if (futures.empty()) {
-    done->set_value(Unit{});
-    return done->get_future();
-  }
   for (const auto& f : futures) {
     f.on_ready([done, remaining](const T&) {
       if (--*remaining == 0) done->set_value(Unit{});

@@ -80,6 +80,24 @@ TEST(Cli, RejectsUnknownAndMalformed) {
   EXPECT_FALSE(parse({"positional"}, o, err));
 }
 
+TEST(Cli, RemovedEngineFlagIsUnknown) {
+  // One fault-free runner is left, so --engine is gone: any spelling fails
+  // as an unknown flag. --graph-dump and --pipeline-depth stand alone.
+  Options o;
+  std::string err;
+  EXPECT_FALSE(parse({"--engine=graph"}, o, err));
+  EXPECT_NE(err.find("--engine"), std::string::npos) << err;
+  EXPECT_EQ(usage().find("--engine"), std::string::npos);
+
+  Options o2;
+  ASSERT_TRUE(parse({"--policy=dynamic", "--graph-dump=g.dot"}, o2, err))
+      << err;
+  EXPECT_EQ(o2.job_config().graph_dump_path, "g.dot");
+  Options o3;
+  EXPECT_FALSE(parse({"--policy=dynamic", "--pipeline-depth=2"}, o3, err));
+  EXPECT_NE(err.find("static-dispatch"), std::string::npos) << err;
+}
+
 TEST(Cli, PolicySelection) {
   // --policy accepts the three level-2 policies and wins over the legacy
   // --scheduling spelling; without it, --scheduling still decides.

@@ -1,16 +1,16 @@
-// Engine determinism sweep (the task-graph acceptance property): for every
-// built-in application, the task-graph engine produces byte-identical
-// result digests to the legacy stage runner — at pipeline depth 1 (where
-// the schedule itself is the legacy timeline) AND at depths 2/4 (where
-// per-block D2H overlap and pipelined iteration windows change the
-// *timing* but may not change a single result byte) — across host-pool
-// thread counts.
+// Engine determinism sweep: for every built-in application, the task-graph
+// runner reproduces the result digests pinned from the retired stage
+// runner — at pipeline depth 1 (where the schedule itself is the stage
+// timeline) AND at depths 2/4 (where per-block D2H overlap and pipelined
+// iteration windows change the *timing* but may not change a single
+// result byte) — across host-pool thread counts.
 //
 // Digests come from svc::run_job_spec, the same canonical FNV-1a result
 // digest prs_run and the job server print, so any regression caught here
 // is exactly a user-visible result change.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,11 +55,21 @@ svc::JobSpec app_spec(const std::string& app) {
   return spec;
 }
 
-std::string run_digest(const std::string& app, const std::string& engine,
-                       int depth, int threads) {
+/// Depth-1 digests of app_spec(app), pinned from the stage runner before
+/// the task graph became the only fault-free runner.
+const std::map<std::string, std::string>& pinned_digests() {
+  static const std::map<std::string, std::string> pins = {
+      {"cmeans", "de9498a2752edda5"},    {"kmeans", "d577cc8d98d6d9f2"},
+      {"gmm", "703897dae037855e"},       {"gemv", "2e2da806987a60a8"},
+      {"dgemm", "a6c2dd578bfdf0f3"},     {"fft", "afc039769dc48a31"},
+      {"wordcount", "ff2126bc8e56f40a"}, {"stencil", "fd1284ed68020988"},
+  };
+  return pins;
+}
+
+std::string run_digest(const std::string& app, int depth, int threads) {
   exec::ThreadPool::instance().configure(threads);
   svc::JobSpec spec = app_spec(app);
-  spec.engine = engine;
   spec.pipeline_depth = depth;
   spec.validate();
   sim::Simulator simu;
@@ -83,9 +93,9 @@ TEST_P(EngineDeterminism, GraphMatchesStagesAcrossDepthsAndThreads) {
   // virtual *timing* — which deeper pipelines legitimately improve. Every
   // functional app hashes result data, which may never change.
   const bool digest_is_timing = app_spec(app).functional == false;
-  const std::string reference = run_digest(app, "stages", 1, 1);
+  const std::string& reference = pinned_digests().at(app);
   for (const int depth : {1, 2, 4}) {
-    const std::string at_one_thread = run_digest(app, "graph", depth, 1);
+    const std::string at_one_thread = run_digest(app, depth, 1);
     if (depth == 1 || !digest_is_timing) {
       // Depth 1 is the faithful schedule (timing included); functional
       // results are depth-invariant at any depth.
@@ -93,12 +103,9 @@ TEST_P(EngineDeterminism, GraphMatchesStagesAcrossDepthsAndThreads) {
           << app << " diverged at depth=" << depth;
     }
     // Host-pool size may never leak into a digest, timing or results.
-    EXPECT_EQ(run_digest(app, "graph", depth, 3), at_one_thread)
+    EXPECT_EQ(run_digest(app, depth, 3), at_one_thread)
         << app << " depth=" << depth << " digest depends on thread count";
   }
-  // The legacy engine itself is thread-count invariant too.
-  EXPECT_EQ(run_digest(app, "stages", 1, 3), reference)
-      << app << " legacy engine diverged at threads=3";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, EngineDeterminism,

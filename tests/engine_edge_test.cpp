@@ -4,6 +4,7 @@
 // collectives on disjoint tags, and congestion timing.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -297,7 +298,6 @@ TEST(GraphEngineEdge, MapClosureThrowPropagatesFirstFailureImmediately) {
     sim::Simulator simu;
     Cluster cluster(simu, 2, NodeConfig{});
     JobConfig cfg;
-    cfg.engine = ExecEngine::kGraph;
     auto res = run_job(cluster, counting_spec(false), cfg, 4096);
     EXPECT_EQ(res.output.size(), 7u);
     t_clean = res.stats.elapsed;
@@ -308,7 +308,6 @@ TEST(GraphEngineEdge, MapClosureThrowPropagatesFirstFailureImmediately) {
   sim::Simulator simu;
   Cluster cluster(simu, 2, NodeConfig{});
   JobConfig cfg;
-  cfg.engine = ExecEngine::kGraph;
   try {
     run_job(cluster, counting_spec(true), cfg, 4096);
     FAIL() << "expected the poisoned map closure to surface an Error";
@@ -328,17 +327,15 @@ TEST(GraphEngineEdge, MapClosureThrowPropagatesFirstFailureImmediately) {
 }
 
 TEST(GraphEngineEdge, GraphMatchesStagesOutput) {
-  auto run_with = [](ExecEngine engine) {
-    sim::Simulator simu;
-    Cluster cluster(simu, 3, NodeConfig{});
-    JobConfig cfg;
-    cfg.engine = engine;
-    return run_job(cluster, counting_spec(false), cfg, 3000);
-  };
-  const auto stages = run_with(ExecEngine::kStages);
-  const auto graph = run_with(ExecEngine::kGraph);
-  EXPECT_EQ(stages.output, graph.output);
-  EXPECT_DOUBLE_EQ(stages.stats.elapsed, graph.stats.elapsed);
+  // Pinned from the retired stage runner on this exact job: the task graph
+  // reproduces its output and its virtual time to the last bit.
+  sim::Simulator simu;
+  Cluster cluster(simu, 3, NodeConfig{});
+  const auto res = run_job(cluster, counting_spec(false), JobConfig{}, 3000);
+  const std::map<int, int> want = {{0, 429}, {1, 429}, {2, 429}, {3, 429},
+                                   {4, 428}, {5, 428}, {6, 428}};
+  EXPECT_EQ(res.output, want);
+  EXPECT_DOUBLE_EQ(res.stats.elapsed, 1.2016682316598213);
 }
 
 }  // namespace

@@ -27,6 +27,27 @@ sim::Process timed_node(sim::Simulator& sim, double d, std::string label,
   done.set_value(sim::Unit{});
 }
 
+/// Work function of a node running timed_node as its one process.
+WorkFn timed_work(double d, std::string label,
+                  std::vector<std::string>* log) {
+  return [d, label = std::move(label), log](sim::Simulator& sim) {
+    return spawn_work(sim, [&](sim::Promise<sim::Unit> done) {
+      return timed_node(sim, d, label, log, std::move(done));
+    });
+  };
+}
+
+/// Burns `d` virtual seconds, then reports a failure to `*exec`.
+sim::Process failing_node(sim::Simulator& sim, double d,
+                          GraphExecutor* const* exec,
+                          sim::Promise<sim::Unit> done) {
+  auto w = sim::delay(sim, d);
+  co_await w;
+  (*exec)->fail(std::make_exception_ptr(std::runtime_error("boom")),
+                "fast");
+  done.set_value(sim::Unit{});
+}
+
 /// a -> {b, c} -> d diamond over host nodes, recording execution order.
 TEST(TaskGraph, DiamondRunsInDependencyOrder) {
   sim::Simulator sim;
@@ -56,11 +77,8 @@ TEST(TaskGraph, ReadyNodesDispatchAscending) {
   // Three roots with equal delay: completion (and hence logging) happens at
   // the same virtual time, in dispatch = id order.
   for (int i = 0; i < 3; ++i) {
-    g.add_work("n" + std::to_string(i), "delay", 0,
-               [&sim, &log, i](sim::Simulator&, sim::Promise<sim::Unit> done) {
-                 return timed_node(sim, 1.0, "n" + std::to_string(i), &log,
-                                   std::move(done));
-               });
+    const std::string name = "n" + std::to_string(i);
+    g.add_work(name, "delay", 0, timed_work(1.0, name, &log));
   }
   GraphExecutor exec(sim, g);
   exec.start();
@@ -96,10 +114,7 @@ TEST(TaskGraph, DotRenderingIsDeterministic) {
     const NodeId a = g.add_host("alpha", "host", 0, [] {});
     const NodeId b = g.add_work(
         "beta", "cpu", 1,
-        [](sim::Simulator&, sim::Promise<sim::Unit> done) -> sim::Process {
-          done.set_value(sim::Unit{});
-          co_return;
-        });
+        [](sim::Simulator& s) { return sim::make_ready_future(s); });
     g.depend(b, a);
     return g.to_dot();
   };
@@ -117,21 +132,13 @@ TEST(GraphExecutor, CancelPendingSkipsUndispatchedNodes) {
   std::vector<std::string> log;
   TaskGraph g("cancel");
   GraphExecutor* exec_ptr = nullptr;
-  const NodeId a = g.add_work(
-      "a", "delay", 0,
-      [&](sim::Simulator&, sim::Promise<sim::Unit> done) {
-        return timed_node(sim, 1.0, "a", &log, std::move(done));
-      });
+  const NodeId a = g.add_work("a", "delay", 0, timed_work(1.0, "a", &log));
   // Converge-check host node cancels everything after `a` completes.
   const NodeId check = g.add_host("check", "host", 0, [&] {
     exec_ptr->cancel_pending();
   });
   g.depend(check, a);
-  const NodeId b = g.add_work(
-      "b", "delay", 0,
-      [&](sim::Simulator&, sim::Promise<sim::Unit> done) {
-        return timed_node(sim, 1.0, "b", &log, std::move(done));
-      });
+  const NodeId b = g.add_work("b", "delay", 0, timed_work(1.0, "b", &log));
   g.depend(b, check);
   GraphExecutor exec(sim, g);
   exec_ptr = &exec;
@@ -150,19 +157,13 @@ TEST(GraphExecutor, FirstFailureWinsAndCancelsPending) {
   std::vector<std::string> log;
   // fast fails at t=1; slow would complete at t=2; dependent never runs.
   const NodeId fast = g.add_work(
-      "fast", "delay", 0,
-      [&](sim::Simulator& s, sim::Promise<sim::Unit> done) -> sim::Process {
-        auto w = sim::delay(s, 1.0);
-        co_await w;
-        exec_ptr->fail(
-            std::make_exception_ptr(std::runtime_error("boom")), "fast");
-        done.set_value(sim::Unit{});
+      "fast", "delay", 0, [&exec_ptr](sim::Simulator& s) {
+        return spawn_work(s, [&](sim::Promise<sim::Unit> done) {
+          return failing_node(s, 1.0, &exec_ptr, std::move(done));
+        });
       });
-  const NodeId slow = g.add_work(
-      "slow", "delay", 0,
-      [&](sim::Simulator&, sim::Promise<sim::Unit> done) {
-        return timed_node(sim, 2.0, "slow", &log, std::move(done));
-      });
+  const NodeId slow =
+      g.add_work("slow", "delay", 0, timed_work(2.0, "slow", &log));
   const NodeId after = g.add_host("after", "host", 0,
                                   [&] { log.push_back("after"); });
   g.depend(after, fast);
@@ -179,6 +180,28 @@ TEST(GraphExecutor, FirstFailureWinsAndCancelsPending) {
   EXPECT_THROW(exec.rethrow_if_failed(), std::runtime_error);
   (void)fast;
   (void)slow;
+}
+
+TEST(GraphExecutor, WorkNodeCompletesWhenItsReturnedFutureResolves) {
+  // A single-step node hands back its device future directly: no process,
+  // no promise of its own. The successor runs when that future resolves.
+  sim::Simulator sim;
+  sim::Promise<sim::Unit> device(sim);
+  std::vector<double> ran_at;
+  TaskGraph g("direct");
+  const NodeId work = g.add_work(
+      "work", "cpu", 0, [&device](sim::Simulator& s) {
+        s.schedule_after(2.5, [&device] { device.set_value(sim::Unit{}); });
+        return device.get_future();
+      });
+  const NodeId after = g.add_host("after", "host", 0,
+                                  [&] { ran_at.push_back(sim.now()); });
+  g.depend(after, work);
+  GraphExecutor exec(sim, g);
+  exec.start();
+  sim.run();
+  EXPECT_TRUE(exec.done());
+  EXPECT_EQ(ran_at, (std::vector<double>{2.5}));
 }
 
 TEST(GraphExecutor, EmptyGraphIsImmediatelyDone) {

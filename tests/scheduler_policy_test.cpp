@@ -214,12 +214,14 @@ TEST(PreRefactor, DynamicStaysDeterministicAndComparable) {
   EXPECT_EQ(a.map_tasks, b.map_tasks);
   EXPECT_DOUBLE_EQ(a.cpu_flops, b.cpu_flops);
 
-  // The per-pull dispatch accounting moves a little work between devices
-  // versus the pre-refactor runner (blocks now trickle out of the
-  // dispatcher), but the totals stay in the pre-refactor envelope:
-  // elapsed within 1% of the old 1.2352349819108674 s, same task count.
-  EXPECT_NEAR(a.elapsed, 1.2352349819108674, 0.013);
+  // Golden values pinned from the stage runner's dynamic path, before
+  // dynamic partitions became task-graph nodes. Within 1% of the
+  // pre-refactor monolithic runner's 1.2352349819108674 s.
+  EXPECT_DOUBLE_EQ(a.elapsed, 1.2415632645755723);
+  EXPECT_DOUBLE_EQ(a.map_time, 0.038696747147588528);
   EXPECT_EQ(a.map_tasks, 4240u);
+  EXPECT_DOUBLE_EQ(a.cpu_flops, 2512004572.4137926);
+  EXPECT_DOUBLE_EQ(a.gpu_flops, 7488036227.5862064);
   const auto st = table3_cmeans(core::JobConfig{}, 1);
   EXPECT_DOUBLE_EQ(a.network_bytes, st.network_bytes);
   EXPECT_NEAR(a.cpu_flops + a.gpu_flops, st.cpu_flops + st.gpu_flops, 1.0);

@@ -1,10 +1,9 @@
-// Per-lane shuffle kv-store (src/numa/kv_store): property tests against a
+// Per-lane shuffle kv-store (src/core/kv_store): property tests against a
 // std::map oracle, grow/rehash edge cases, and the determinism argument —
 // a fixed lane-order merge of any distribution of the input equals the
-// single-lane result bit-for-bit. Plus the two wordcount tokenizers
-// (istringstream reference vs the allocation-free fast path) agreeing on
-// whitespace-rich corpora, which is what keeps the NUMA shuffle path
-// byte-identical to the reduce path.
+// single-lane result bit-for-bit. Plus the wordcount map (allocation-free
+// tokenizer into per-lane stores) agreeing with the istringstream serial
+// oracle on whitespace-rich corpora, at every thread count and NUMA mode.
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -16,8 +15,8 @@
 
 #include "apps/wordcount.hpp"
 #include "common/rng.hpp"
+#include "core/kv_store.hpp"
 #include "exec/thread_pool.hpp"
-#include "numa/kv_store.hpp"
 #include "numa/topology.hpp"
 
 namespace {
@@ -45,14 +44,14 @@ std::vector<unsigned char> serialize(const std::map<std::string, long>& m) {
   return out;
 }
 
-std::map<std::string, long> store_as_map(const numa::LaneKvStore& s) {
+std::map<std::string, long> store_as_map(const core::LaneKvStore& s) {
   std::map<std::string, long> out;
   s.for_each([&](const std::string& k, long v) { out[k] += v; });
   return out;
 }
 
 TEST(LaneKvStore, BasicAddAndAccumulate) {
-  numa::LaneKvStore s;
+  core::LaneKvStore s;
   s.add("alpha", 1);
   s.add("beta", 2);
   s.add("alpha", 3);
@@ -63,7 +62,7 @@ TEST(LaneKvStore, BasicAddAndAccumulate) {
 }
 
 TEST(LaneKvStore, HandlesEmptyAndBinaryKeys) {
-  numa::LaneKvStore s(8);
+  core::LaneKvStore s(8);
   s.add("", 7);
   s.add(std::string_view("\0\x01", 2), 1);
   s.add(std::string_view("\0\x02", 2), 1);
@@ -74,7 +73,7 @@ TEST(LaneKvStore, HandlesEmptyAndBinaryKeys) {
 }
 
 TEST(LaneKvStore, GrowsFromMinimumCapacityAndKeepsEverything) {
-  numa::LaneKvStore s(1);  // rounds up to the 8-slot minimum
+  core::LaneKvStore s(1);  // rounds up to the 8-slot minimum
   EXPECT_EQ(s.capacity(), 8u);
   std::map<std::string, long> oracle;
   for (int i = 0; i < 5000; ++i) {
@@ -93,7 +92,7 @@ TEST(LaneKvStore, GrowsFromMinimumCapacityAndKeepsEverything) {
 TEST(LaneKvStore, RandomCorporaMatchMapOracle) {
   Rng rng(1234);
   for (int round = 0; round < 20; ++round) {
-    numa::LaneKvStore s(8);
+    core::LaneKvStore s(8);
     std::map<std::string, long> oracle;
     const int n = 200 + static_cast<int>(rng.uniform() * 3000);
     for (int i = 0; i < n; ++i) {
@@ -120,13 +119,13 @@ TEST(LaneKvStore, FixedOrderMergeEqualsSingleLaneBitForBit) {
         "w" + std::to_string(static_cast<int>(rng.uniform() * 900)), 1);
   }
   // ...counted in a single lane (the reference)...
-  std::vector<numa::LaneKvStore> single(1);
+  std::vector<core::LaneKvStore> single(1);
   for (const auto& [w, c] : events) single[0].add(w, c);
-  const auto ref = serialize(numa::merge_lane_stores(single));
+  const auto ref = serialize(core::merge_lane_stores(single));
 
   // ...must merge bit-for-bit from ANY distribution over any lane count.
   for (int lanes : {2, 3, 7, 16}) {
-    std::vector<numa::LaneKvStore> stores(static_cast<std::size_t>(lanes));
+    std::vector<core::LaneKvStore> stores(static_cast<std::size_t>(lanes));
     std::size_t i = 0;
     for (const auto& [w, c] : events) {
       // Adversarial distribution: round-robin + random jumps.
@@ -135,7 +134,7 @@ TEST(LaneKvStore, FixedOrderMergeEqualsSingleLaneBitForBit) {
           static_cast<std::size_t>(lanes);
       stores[lane].add(w, c);
     }
-    const auto got = serialize(numa::merge_lane_stores(stores));
+    const auto got = serialize(core::merge_lane_stores(stores));
     ASSERT_EQ(got.size(), ref.size()) << "lanes=" << lanes;
     ASSERT_EQ(std::memcmp(got.data(), ref.data(), ref.size()), 0)
         << "lanes=" << lanes;
@@ -177,10 +176,12 @@ TEST(WordcountShuffle, PerLaneAndReducePathsAgreeOnNastyWhitespace) {
     return out;
   };
 
+  // NUMA enablement only moves pages; the counts must match the oracle
+  // (istringstream tokenizer) either way.
   numa::set_enabled(false);
-  EXPECT_EQ(run_map(), serial);  // reduce path (istringstream tokenizer)
+  EXPECT_EQ(run_map(), serial);
   numa::set_enabled(true);
-  EXPECT_EQ(run_map(), serial);  // per-lane path (fast tokenizer)
+  EXPECT_EQ(run_map(), serial);
 }
 
 TEST(WordcountShuffle, RandomCorporaAgreeAcrossPathsAndThreadCounts) {

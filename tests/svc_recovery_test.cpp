@@ -606,6 +606,34 @@ TEST(JobServer, RecoverRestoresTerminalHistoryWithoutAccounting) {
   server.run_until_idle();  // nothing to do; must not wedge
 }
 
+TEST(JobServer, RecoverFailsJournaledSpecWithTheRemovedEngineKey) {
+  // A journal written before the engine= key was removed: its job cannot
+  // be re-admitted, so it recovers as a failed job naming the parse error
+  // while the well-formed job beside it recovers normally.
+  const fs::path dir = fresh_dir("svc_recover_engine_key");
+  Journal::Config jcfg;
+  jcfg.path = (dir / "journal.wal").string();
+  JournalRecord legacy = submit_record(1, "a", small_cmeans(3));
+  legacy.spec_tokens += " engine=graph";
+  write_journal_file(jcfg.path,
+                     {legacy, submit_record(2, "a", small_cmeans(2))});
+
+  Journal journal(jcfg);
+  JobServer server(server_cfg(1, 2, &journal));
+  server.add_tenant("a", TenantQuota{});
+  const auto stats = server.recover();
+  EXPECT_EQ(stats.jobs_failed, 1);
+  EXPECT_EQ(stats.jobs_recovered, 1);
+  const JobStatus failed = server.status(1);
+  EXPECT_EQ(failed.state, JobState::kFailed);
+  EXPECT_NE(failed.error.find("journal spec no longer parses"),
+            std::string::npos)
+      << failed.error;
+  EXPECT_NE(failed.error.find("engine"), std::string::npos) << failed.error;
+  server.run_until_idle();
+  EXPECT_EQ(server.status(2).digest, run_single_shot(small_cmeans(2)).digest);
+}
+
 TEST(JobServer, CancelDuringRecoveryResolvesCleanly) {
   const fs::path dir = fresh_dir("svc_recover_cancel");
   Journal::Config jcfg;

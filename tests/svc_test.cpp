@@ -226,6 +226,18 @@ TEST(JobSpecWire, ValidateRejectsBadCombinations) {
   EXPECT_THROW(modeled_stencil.validate(), InvalidArgument);
 }
 
+TEST(JobSpecWire, PipelineDepthNeedsStaticDispatch) {
+  JobSpec spec;
+  spec.pipeline_depth = 4;
+  EXPECT_NO_THROW(spec.validate());
+  spec.policy = "adaptive";
+  EXPECT_NO_THROW(spec.validate());
+  spec.policy = "dynamic";
+  EXPECT_THROW(spec.validate(), InvalidArgument);
+  spec.pipeline_depth = 1;
+  EXPECT_NO_THROW(spec.validate());
+}
+
 TEST(JobSpecWire, ValidateRejectsFftSizeThatIsNotAPowerOfTwo) {
   // The shared default cols (10000) used to pass admission and then throw
   // from inside the FFT kernel.
@@ -585,6 +597,20 @@ TEST(Protocol, HandleRequestEndToEnd) {
   EXPECT_FALSE(shutdown);
   handle_request(server, "SHUTDOWN", &shutdown);
   EXPECT_TRUE(shutdown);
+}
+
+TEST(Protocol, RemovedEngineKeyIsRejectedAtSubmit) {
+  // There is one fault-free runner; a SUBMIT still naming engine= is a
+  // protocol error, answered before any job id is handed out.
+  JobServer server(server_cfg(1, 2));
+  server.add_tenant("a", TenantQuota{});
+  bool shutdown = false;
+  const std::string resp = handle_request(
+      server, "SUBMIT tenant=a app=cmeans engine=graph", &shutdown);
+  EXPECT_EQ(resp.rfind("ERR ", 0), 0u) << resp;
+  EXPECT_NE(resp.find("engine"), std::string::npos) << resp;
+  EXPECT_EQ(handle_request(server, "STATUS 1", &shutdown).rfind("ERR ", 0),
+            0u);
 }
 
 TEST(Protocol, SocketRoundTrip) {

@@ -56,16 +56,13 @@ usage: prs_run [options]
                       adaptive (analytic p refined per iteration from
                       observed busy times); overrides --scheduling
   --cpu-fraction=P    override the analytic CPU share p in [0,1]
-  --engine=NAME       stages (default; reference stage runner) | graph
-                      (task-graph runtime: per-block D2H copies overlap
-                      later kernels, first failure propagates immediately;
-                      numeric results are byte-identical)
-  --pipeline-depth=N  graph engine: iterations in flight (default 1);
-                      N>1 pipelines iterative apps — iteration i+1's map
-                      starts on partitions whose reduce finished
-  --graph-dump=FILE   write the job's task graph as Graphviz DOT (implies
-                      --engine=graph; iterative jobs overwrite FILE per
-                      window)
+  --pipeline-depth=N  iterations in flight (default 1); N>1 pipelines
+                      iterative apps — iteration i+1's map starts on
+                      partitions whose reduce finished — and overlaps each
+                      GPU block's copy-back with later kernels; needs a
+                      static-dispatch policy (static | adaptive)
+  --graph-dump=FILE   write the job's task graph as Graphviz DOT
+                      (iterative jobs overwrite FILE per window)
   --functional        compute real results (default: modeled virtual time)
   --gpu-only          disable the CPU backend
   --cpu-only          disable the GPU backend
@@ -237,9 +234,6 @@ bool parse_options(int argc, char** argv, Options& out, std::string& error) {
            out.cpu_fraction <= 1.0;
     } else if (key == "seed") {
       ok = parse_u64(val, out.seed);
-    } else if (key == "engine") {
-      out.engine = val;
-      ok = val == "stages" || val == "graph";
     } else if (key == "pipeline-depth") {
       ok = parse_int(val, out.pipeline_depth) && out.pipeline_depth >= 1 &&
            out.pipeline_depth <= 64;
@@ -337,16 +331,8 @@ bool parse_options(int argc, char** argv, Options& out, std::string& error) {
       return false;
     }
   }
-  if (out.engine == "stages" && !out.graph_dump.empty()) {
-    error = "--graph-dump requires the graph engine (drop --engine=stages)";
-    return false;
-  }
-  if (out.pipeline_depth > 1 && out.engine_name() != "graph") {
-    error = "--pipeline-depth > 1 requires --engine=graph";
-    return false;
-  }
-  if (out.engine_name() == "graph" && out.policy_name() == "dynamic") {
-    error = "--engine=graph requires a static-dispatch policy "
+  if (out.pipeline_depth > 1 && out.policy_name() == "dynamic") {
+    error = "--pipeline-depth > 1 requires a static-dispatch policy "
             "(--policy=static|adaptive)";
     return false;
   }
@@ -439,7 +425,6 @@ svc::JobSpec to_job_spec(const Options& o) {
   s.cpu_only = o.cpu_only;
   s.cpu_fraction = o.cpu_fraction;
   s.seed = o.seed;
-  s.engine = o.engine_name();
   s.pipeline_depth = o.pipeline_depth;
   s.fault_spec = o.fault_spec;
   s.fault_seed = o.fault_seed;

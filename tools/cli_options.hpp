@@ -33,9 +33,7 @@ struct Options {
   bool cpu_only = false;
   double cpu_fraction = -1.0;
   std::uint64_t seed = 42;
-  std::string engine;        // stages | graph; empty = stages, unless
-                             // --graph-dump implies graph
-  int pipeline_depth = 1;    // graph engine: iterations in flight
+  int pipeline_depth = 1;    // iterations in flight (static dispatch)
   std::string graph_dump;    // --graph-dump=FILE: Graphviz DOT of the job
   int repeat = 1;            // run the job N times (counters reset between)
   int host_threads = 0;      // real host threads for map kernels; 0 = auto
@@ -97,13 +95,6 @@ struct Options {
     return policy.empty() ? scheduling : policy;
   }
 
-  /// Effective engine name: --graph-dump implies the graph engine when
-  /// --engine is not given explicitly.
-  std::string engine_name() const {
-    if (!engine.empty()) return engine;
-    return graph_dump.empty() ? "stages" : "graph";
-  }
-
   /// Job configuration from the mode/backend/scheduling flags. The caller
   /// owns the policy instance (core::make_policy(policy_name())) and sets
   /// JobConfig::policy so it persists across --repeat runs.
@@ -117,8 +108,6 @@ struct Options {
     cfg.use_cpu = !gpu_only;
     cfg.use_gpu = !cpu_only;
     cfg.cpu_fraction_override = cpu_fraction;
-    cfg.engine = engine_name() == "graph" ? core::ExecEngine::kGraph
-                                          : core::ExecEngine::kStages;
     cfg.pipeline_depth = pipeline_depth;
     cfg.graph_dump_path = graph_dump;
     return cfg;
