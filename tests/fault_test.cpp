@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -198,6 +199,141 @@ TEST(FaultTolerance, GraphEngineWithFaultsRoutesToTolerantPathUnchanged) {
   EXPECT_EQ(got.log.size(), 20u);
   EXPECT_EQ(got.trace_json.size(), 78894u);
   EXPECT_EQ(ckpt::fnv1a64(got.trace_json), 0x085081ad0f02249eull);
+}
+
+/// One tolerant-path configuration of the pin table below.
+struct TolerantPin {
+  const char* plan;
+  const char* policy;
+  int backend;  // 0 = cpu+gpu, 1 = use_gpu=false, 2 = use_cpu=false
+  int gpus;
+  double elapsed;
+  std::uint64_t retries;
+  std::uint64_t map_tasks;
+  std::uint64_t reduce_tasks;
+  int blacklisted;
+  std::uint64_t trace_fnv;
+};
+
+FaultRun run_tolerant_case(const TolerantPin& c) {
+  sim::Simulator simu;
+  obs::TraceRecorder rec(simu);
+  simu.set_tracer(&rec);
+  NodeConfig node;
+  node.gpus_per_node = c.gpus;
+  Cluster cluster(simu, kNodes, node);
+  fault::FaultInjector inj(simu, fault::FaultPlan::parse(c.plan), 11);
+  auto policy = make_policy(c.policy);
+  auto spec = sum_spec();
+  JobConfig cfg;
+  cfg.charge_job_startup = false;
+  cfg.time_input_distribution = true;
+  cfg.use_gpu = c.backend != 1;
+  cfg.use_cpu = c.backend != 2;
+  cfg.policy = policy.get();
+  cfg.faults = &inj;
+  auto res = run_job(cluster, spec, cfg, kItems);
+  FaultRun out;
+  out.output = std::move(res.output);
+  out.stats = res.stats;
+  out.trace_json = obs::chrome_trace_string(rec);
+  simu.set_tracer(nullptr);
+  return out;
+}
+
+TEST(FaultTolerance, TolerantPathTableIsPinned) {
+  // Four fault plans x {static, dynamic, adaptive} x {cpu+gpu, cpu only,
+  // gpu only} x {1, 2} GPUs per node, all with timed input distribution.
+  // Every observable of the tolerant runner is pinned, so a change to the
+  // shared stage code that forks the fault path shows up here.
+  static const TolerantPin kPins[] = {
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "static", 0, 1, 0.014595514437576314, 11u, 403u, 8u, 0, 0x3607ad6e2facd2f3ull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "static", 0, 2, 0.0146202669671739, 11u, 411u, 12u, 0, 0xab66e81e5276ea18ull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "static", 1, 1, 0.014230824615384621, 9u, 393u, 4u, 0, 0x247deacf25aa28caull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "static", 1, 2, 0.014230824615384621, 9u, 393u, 4u, 0, 0x247deacf25aa28caull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "static", 2, 1, 0.0068347638234774917, 0u, 8u, 4u, 0, 0x814cd09661bed981ull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "static", 2, 2, 0.0059843324571932904, 1u, 17u, 8u, 0, 0x925bdcbcad3ae7b8ull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "dynamic", 0, 1, 0.014655053151677736, 10u, 435u, 8u, 0, 0xf875ff39cddcc676ull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "dynamic", 0, 2, 0.014542862980480976, 14u, 438u, 12u, 0, 0x96c441077b7c8d23ull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "dynamic", 1, 1, 0.014491501538461541, 11u, 435u, 4u, 0, 0x138b8431b8871152ull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "dynamic", 1, 2, 0.014491501538461541, 11u, 435u, 4u, 0, 0x138b8431b8871152ull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "dynamic", 2, 1, 0.0095671808402471321, 46u, 506u, 4u, 0, 0x8e9664750d82fd9full},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "dynamic", 2, 2, 0.015178695203883496, 12u, 438u, 8u, 0, 0x87120c11087d7665ull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "adaptive", 0, 1, 0.014595514437576314, 11u, 403u, 8u, 0, 0x3607ad6e2facd2f3ull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "adaptive", 0, 2, 0.0146202669671739, 11u, 411u, 12u, 0, 0xab66e81e5276ea18ull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "adaptive", 1, 1, 0.014230824615384621, 9u, 393u, 4u, 0, 0x247deacf25aa28caull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "adaptive", 1, 2, 0.014230824615384621, 9u, 393u, 4u, 0, 0x247deacf25aa28caull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "adaptive", 2, 1, 0.0068347638234774917, 0u, 8u, 4u, 0, 0x814cd09661bed981ull},
+    {"link_drop:*:p=0.1; task_error:node1:p=0.1", "adaptive", 2, 2, 0.0059843324571932904, 1u, 17u, 8u, 0, 0x925bdcbcad3ae7b8ull},
+    {"node_crash:node2:t=0", "static", 0, 1, 1.7257338998508442, 0u, 294u, 6u, 1, 0x9b3cf677477a2e94ull},
+    {"node_crash:node2:t=0", "static", 0, 2, 1.7257527328665574, 0u, 300u, 9u, 1, 0x3abbfbb472d38794ull},
+    {"node_crash:node2:t=0", "static", 1, 1, 1.7256861630769236, 0u, 288u, 3u, 1, 0x1428f96efb47aeb4ull},
+    {"node_crash:node2:t=0", "static", 1, 2, 1.7256861630769236, 0u, 288u, 3u, 1, 0x1428f96efb47aeb4ull},
+    {"node_crash:node2:t=0", "static", 2, 1, 1.7252711766954996, 0u, 6u, 3u, 1, 0xade773d39d9a8372ull},
+    {"node_crash:node2:t=0", "static", 2, 2, 1.7252813668932052, 0u, 12u, 6u, 1, 0xb88f986291895034ull},
+    {"node_crash:node2:t=0", "dynamic", 0, 1, 1.7261138600545238, 0u, 318u, 6u, 1, 0xa63526e9ff8b5d76ull},
+    {"node_crash:node2:t=0", "dynamic", 0, 2, 1.7260475755496991, 0u, 318u, 9u, 1, 0x50351970857586c7ull},
+    {"node_crash:node2:t=0", "dynamic", 1, 1, 1.7257439169230773, 0u, 318u, 3u, 1, 0xa7efaa64e30e2f30ull},
+    {"node_crash:node2:t=0", "dynamic", 1, 2, 1.7257439169230773, 0u, 318u, 3u, 1, 0xa7efaa64e30e2f30ull},
+    {"node_crash:node2:t=0", "dynamic", 2, 1, 1.7278275130414855, 54u, 372u, 3u, 1, 0x3b3c188678ce0664ull},
+    {"node_crash:node2:t=0", "dynamic", 2, 2, 1.7264173872639026, 0u, 318u, 6u, 1, 0x04a18f69feb28362ull},
+    {"node_crash:node2:t=0", "adaptive", 0, 1, 1.7257338998508442, 0u, 294u, 6u, 1, 0x9b3cf677477a2e94ull},
+    {"node_crash:node2:t=0", "adaptive", 0, 2, 1.7257527328665574, 0u, 300u, 9u, 1, 0x3abbfbb472d38794ull},
+    {"node_crash:node2:t=0", "adaptive", 1, 1, 1.7256861630769236, 0u, 288u, 3u, 1, 0x1428f96efb47aeb4ull},
+    {"node_crash:node2:t=0", "adaptive", 1, 2, 1.7256861630769236, 0u, 288u, 3u, 1, 0x1428f96efb47aeb4ull},
+    {"node_crash:node2:t=0", "adaptive", 2, 1, 1.7252711766954996, 0u, 6u, 3u, 1, 0xade773d39d9a8372ull},
+    {"node_crash:node2:t=0", "adaptive", 2, 2, 1.7252813668932052, 0u, 12u, 6u, 1, 0xb88f986291895034ull},
+    {"gpu_hang:node1:t=0ms", "static", 0, 1, 0.0039809466605472193, 2u, 395u, 9u, 0, 0x84e598c8acd3fd19ull},
+    {"gpu_hang:node1:t=0ms", "static", 0, 2, 0.0040054749924095315, 3u, 406u, 13u, 0, 0x2a6b0d38c2018a01ull},
+    {"gpu_hang:node1:t=0ms", "static", 1, 1, 0.0029661366153846151, 0u, 384u, 4u, 0, 0x97ee8a4be44ec14eull},
+    {"gpu_hang:node1:t=0ms", "static", 1, 2, 0.0029661366153846151, 0u, 384u, 4u, 0, 0x97ee8a4be44ec14eull},
+    {"gpu_hang:node1:t=0ms", "static", 2, 1, 0.01295315688261253, 6u, 6u, 3u, 1, 0x88f346e1a025e7c9ull},
+    {"gpu_hang:node1:t=0ms", "static", 2, 2, 0.012977905350397173, 12u, 12u, 6u, 1, 0xc20d3ebd63a2be2aull},
+    {"gpu_hang:node1:t=0ms", "dynamic", 0, 1, 0.0043659938979699886, 17u, 459u, 9u, 0, 0xd64b200cc2cc8ddbull},
+    {"gpu_hang:node1:t=0ms", "dynamic", 0, 2, 0.0043002410647837563, 25u, 483u, 13u, 0, 0x64d90d23115be1aaull},
+    {"gpu_hang:node1:t=0ms", "dynamic", 1, 1, 0.0030218596923076929, 0u, 424u, 4u, 0, 0xa76c75c9761b41b9ull},
+    {"gpu_hang:node1:t=0ms", "dynamic", 1, 2, 0.0030218596923076929, 0u, 424u, 4u, 0, 0xa76c75c9761b41b9ull},
+    {"gpu_hang:node1:t=0ms", "dynamic", 2, 1, 0.032963479036187349, 372u, 372u, 3u, 1, 0x01fe0c2515587025ull},
+    {"gpu_hang:node1:t=0ms", "dynamic", 2, 2, 0.019618842261253325, 318u, 318u, 6u, 1, 0x92339cbffdce4f51ull},
+    {"gpu_hang:node1:t=0ms", "adaptive", 0, 1, 0.0039809466605472193, 2u, 395u, 9u, 0, 0x84e598c8acd3fd19ull},
+    {"gpu_hang:node1:t=0ms", "adaptive", 0, 2, 0.0040054749924095315, 3u, 406u, 13u, 0, 0x2a6b0d38c2018a01ull},
+    {"gpu_hang:node1:t=0ms", "adaptive", 1, 1, 0.0029661366153846151, 0u, 384u, 4u, 0, 0x97ee8a4be44ec14eull},
+    {"gpu_hang:node1:t=0ms", "adaptive", 1, 2, 0.0029661366153846151, 0u, 384u, 4u, 0, 0x97ee8a4be44ec14eull},
+    {"gpu_hang:node1:t=0ms", "adaptive", 2, 1, 0.01295315688261253, 6u, 6u, 3u, 1, 0x88f346e1a025e7c9ull},
+    {"gpu_hang:node1:t=0ms", "adaptive", 2, 2, 0.012977905350397173, 12u, 12u, 6u, 1, 0xc20d3ebd63a2be2aull},
+    {"slow_node:node0:x6:cpu", "static", 0, 1, 0.0030192367323688971, 0u, 392u, 8u, 0, 0xcaf41a9632a229f6ull},
+    {"slow_node:node0:x6:cpu", "static", 0, 2, 0.0030436941163354174, 0u, 400u, 12u, 0, 0xf3e92269eed63389ull},
+    {"slow_node:node0:x6:cpu", "static", 1, 1, 0.0029661366153846151, 0u, 384u, 4u, 0, 0x1c2d310b8dd92fc0ull},
+    {"slow_node:node0:x6:cpu", "static", 1, 2, 0.0029661366153846151, 0u, 384u, 4u, 0, 0x1c2d310b8dd92fc0ull},
+    {"slow_node:node0:x6:cpu", "static", 2, 1, 0.0025562038234774932, 0u, 8u, 4u, 0, 0xeaafc3cf2e1d5fedull},
+    {"slow_node:node0:x6:cpu", "static", 2, 2, 0.0025702364571932911, 0u, 16u, 8u, 0, 0x1d08a7b905093e4eull},
+    {"slow_node:node0:x6:cpu", "dynamic", 0, 1, 0.0034042839697916659, 0u, 424u, 8u, 0, 0xbe432c7bf4de3f09ull},
+    {"slow_node:node0:x6:cpu", "dynamic", 0, 2, 0.0033384601887096427, 0u, 424u, 12u, 0, 0x597a8cfae67d90deull},
+    {"slow_node:node0:x6:cpu", "dynamic", 1, 1, 0.0030218596923076929, 0u, 424u, 4u, 0, 0xd9e8c512f30490f7ull},
+    {"slow_node:node0:x6:cpu", "dynamic", 1, 2, 0.0030218596923076929, 0u, 424u, 4u, 0, 0xd9e8c512f30490f7ull},
+    {"slow_node:node0:x6:cpu", "dynamic", 2, 1, 0.0051024013521623933, 36u, 496u, 4u, 0, 0x520f6b89abf63708ull},
+    {"slow_node:node0:x6:cpu", "dynamic", 2, 2, 0.0037061894315975228, 0u, 424u, 8u, 0, 0x28094c06b19094f3ull},
+    {"slow_node:node0:x6:cpu", "adaptive", 0, 1, 0.0030192367323688971, 0u, 392u, 8u, 0, 0xcaf41a9632a229f6ull},
+    {"slow_node:node0:x6:cpu", "adaptive", 0, 2, 0.0030436941163354174, 0u, 400u, 12u, 0, 0xf3e92269eed63389ull},
+    {"slow_node:node0:x6:cpu", "adaptive", 1, 1, 0.0029661366153846151, 0u, 384u, 4u, 0, 0x1c2d310b8dd92fc0ull},
+    {"slow_node:node0:x6:cpu", "adaptive", 1, 2, 0.0029661366153846151, 0u, 384u, 4u, 0, 0x1c2d310b8dd92fc0ull},
+    {"slow_node:node0:x6:cpu", "adaptive", 2, 1, 0.0025562038234774932, 0u, 8u, 4u, 0, 0xeaafc3cf2e1d5fedull},
+    {"slow_node:node0:x6:cpu", "adaptive", 2, 2, 0.0025702364571932911, 0u, 16u, 8u, 0, 0x1d08a7b905093e4eull},
+  };
+  ASSERT_EQ(std::size(kPins), 72u);
+  for (const TolerantPin& want : kPins) {
+    SCOPED_TRACE(std::string(want.plan) + " policy=" + want.policy +
+                 " backend=" + std::to_string(want.backend) +
+                 " gpus=" + std::to_string(want.gpus));
+    const FaultRun got = run_tolerant_case(want);
+    EXPECT_EQ(got.output, expected_sums(kItems));
+    EXPECT_DOUBLE_EQ(got.stats.elapsed, want.elapsed);
+    EXPECT_EQ(got.stats.task_retries, want.retries);
+    EXPECT_EQ(got.stats.map_tasks, want.map_tasks);
+    EXPECT_EQ(got.stats.reduce_tasks, want.reduce_tasks);
+    EXPECT_EQ(got.stats.blacklisted_nodes, want.blacklisted);
+    EXPECT_EQ(ckpt::fnv1a64(got.trace_json), want.trace_fnv);
+  }
 }
 
 TEST(FaultTolerance, DroppedMessagesAreRetransmitted) {
