@@ -26,6 +26,13 @@
 // ranks), and every point-to-point send rides the fabric's ack/retransmit
 // protocol, which is active whenever a fault hook is attached.
 //
+// Everything that is not fault-specific comes from core/pipeline.hpp: the
+// JobState builder, the static block plan and dynamic block list, the map
+// and reduce task costing, the shuffle bucketing, the reduce merge and the
+// phase accounting. This file keeps only the attempts, deadlines, retries,
+// speculation, the alive-set messaging with its stall bookkeeping, and
+// blacklisting + re-split.
+//
 // NOTE (GCC 12): all co_await sites follow the named-temporary rule
 // documented in simtime/process.hpp.
 #pragma once
@@ -41,7 +48,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/partitioner.hpp"
 #include "core/pipeline.hpp"
 #include "core/schedule_policy.hpp"
 #include "fault/injector.hpp"
@@ -147,6 +153,11 @@ struct FtNodeState {
   bool gpu_ok() const {
     return st->cfg.use_gpu && ctx.node().gpu_count() > 0;
   }
+  /// Position of `rank` in the alive set (the master is always at 0).
+  std::size_t alive_pos(int rank) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(alive.begin(), alive.end(), rank) - alive.begin());
+  }
 };
 
 /// One execution attempt chain for one block: launch on a device, race the
@@ -161,7 +172,6 @@ sim::Process ft_block_attempt(std::shared_ptr<FtNodeState<K, V>> ns,
   const FaultToleranceConfig& tol = ns->st->cfg.tolerance;
   const auto& spec = ns->ctx.spec();
   FatNode& node = ns->ctx.node();
-  const bool functional = ns->st->cfg.mode == ExecutionMode::kFunctional;
 
   for (int attempt = 0;; ++attempt) {
     if (ns->blocks[bi].done || ns->ctl->aborted) co_return;
@@ -193,15 +203,11 @@ sim::Process ft_block_attempt(std::shared_ptr<FtNodeState<K, V>> ns,
     sim::Future<sim::Unit> op;
     double est = 0.0;
     double depth = 1.0;
+    // The payload is captured by value: a late body may outlive this frame.
+    const auto& fn = map_payload(*ns->st, use_gpu);
     if (!use_gpu) {
-      simdev::CpuTask t;
-      t.name = spec.name + ":map:cpu";
-      t.workload.flops = items * spec.cpu_flops_per_item;
-      t.workload.mem_traffic = items * spec.cpu_traffic_per_item();
-      t.compute_efficiency = spec.efficiency.cpu_compute;
-      t.memory_efficiency = spec.efficiency.cpu_memory;
+      simdev::CpuTask t = cpu_map_task(spec, slice);
       t.failed = failed;
-      const auto& fn = functional ? spec.cpu_map : spec.modeled_map;
       if (fn) t.body = [ns, fn, slice, em] { fn(slice, *em); };
       est = node.cpu().task_duration(t);
       depth = ns->cpu_depth;
@@ -224,15 +230,8 @@ sim::Process ft_block_attempt(std::shared_ptr<FtNodeState<K, V>> ns,
           est += h2d / gpu.spec().pcie_bandwidth;
         }
       }
-      simdev::KernelDesc k;
-      k.name = spec.name + ":map:gpu";
-      k.workload.flops = items * spec.gpu_flops_per_item;
-      k.workload.mem_traffic = items * spec.gpu_traffic_per_item();
-      k.compute_efficiency = spec.efficiency.gpu_compute;
-      k.memory_efficiency = spec.efficiency.gpu_memory;
+      simdev::KernelDesc k = gpu_map_kernel(spec, slice);
       k.failed = failed;
-      const auto& fn = functional ? spec.gpu_map_or_default()
-                                  : spec.modeled_map;
       if (fn) k.body = [ns, fn, slice, em] { fn(slice, *em); };
       est += gpu.kernel_duration(k);
       depth = ns->gpu_depth;
@@ -316,103 +315,6 @@ sim::Process ft_recv_pump(std::shared_ptr<FtNodeState<K, V>> ns, int src,
   ev.rank = src;
   ev.payload = std::move(m);
   ns->events->send(ev);
-}
-
-/// ShuffleStage::prepare over the alive set: keys hash onto alive ranks
-/// only, so a blacklisted node is never chosen as a reduce destination.
-/// Returns one message per alive-set position.
-template <typename K, typename V>
-std::vector<simnet::Message> ft_prepare_outbound(
-    std::shared_ptr<FtNodeState<K, V>> ns, NodeMapBatch<K, V>& batch) {
-  auto& st = *ns->st;
-  const auto& spec = ns->ctx.spec();
-  const std::size_t m = ns->alive.size();
-  std::vector<std::vector<std::pair<K, V>>> buckets(m);
-  if (spec.local_combine) {
-    std::map<K, V> combined;
-    for (auto& e : batch.emitters) {
-      st.intermediate_pairs += e.size();
-      combine_into(spec, combined, e.pairs());
-    }
-    for (auto& [k, v] : combined) {
-      buckets[std::hash<K>{}(k) % m].emplace_back(k, std::move(v));
-    }
-  } else {
-    for (auto& e : batch.emitters) {
-      st.intermediate_pairs += e.size();
-      for (auto& [k, v] : e.pairs()) {
-        buckets[std::hash<K>{}(k) % m].emplace_back(std::move(k),
-                                                    std::move(v));
-      }
-    }
-  }
-  std::vector<simnet::Message> outbound;
-  outbound.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    auto payload = std::make_shared<std::vector<std::pair<K, V>>>(
-        std::move(buckets[i]));
-    const double bytes =
-        static_cast<double>(payload->size()) * spec.pair_bytes;
-    outbound.emplace_back(bytes, std::move(payload));
-  }
-  if (ns->ctx.tr != nullptr) {
-    auto& h = ns->ctx.tr->metrics().histogram(
-        "shuffle.msg_bytes", obs::geometric_buckets(64.0, 4.0, 16));
-    for (const auto& msg : outbound) h.observe(msg.bytes);
-  }
-  return outbound;
-}
-
-/// ReduceStage::submit_device_tasks plus a modeled-duration estimate for
-/// the reduce deadline (sum over submitted pieces — a safe over-estimate).
-template <typename K, typename V>
-std::vector<sim::Future<sim::Unit>> ft_submit_reduce(
-    std::shared_ptr<FtNodeState<K, V>> ns, std::size_t reduce_pairs,
-    double& est) {
-  auto& st = *ns->st;
-  const auto& spec = ns->ctx.spec();
-  FatNode& node = ns->ctx.node();
-  const auto rk = static_cast<std::size_t>(ns->ctx.rank);
-  std::vector<sim::Future<sim::Unit>> futs;
-  est = 0.0;
-  if (reduce_pairs == 0) return futs;
-  const double cpu_pairs =
-      static_cast<double>(reduce_pairs) * st.cpu_fraction[rk];
-  const double gpu_pairs = static_cast<double>(reduce_pairs) - cpu_pairs;
-  if (cpu_pairs > 0.0 && ns->cpu_ok()) {
-    simdev::CpuTask t;
-    t.name = spec.name + ":reduce:cpu";
-    t.workload.flops = cpu_pairs * spec.reduce_flops_per_pair;
-    t.workload.mem_traffic = cpu_pairs * spec.pair_bytes;
-    t.compute_efficiency = spec.efficiency.cpu_compute;
-    t.memory_efficiency = spec.efficiency.cpu_memory;
-    est += node.cpu().task_duration(t);
-    futs.push_back(node.cpu().submit(std::move(t)));
-    ++st.reduce_tasks;
-  }
-  if (gpu_pairs > 0.0 && ns->gpu_ok()) {
-    const double per_card =
-        gpu_pairs / static_cast<double>(node.gpu_count());
-    for (int g = 0; g < node.gpu_count(); ++g) {
-      auto& gpu = node.gpu(g);
-      auto& stream = gpu.default_stream();
-      futs.push_back(stream.memcpy_h2d(per_card * spec.pair_bytes));
-      simdev::KernelDesc k;
-      k.name = spec.name + ":reduce:gpu";
-      k.workload.flops = per_card * spec.reduce_flops_per_pair;
-      k.workload.mem_traffic = per_card * spec.pair_bytes;
-      k.compute_efficiency = spec.efficiency.gpu_compute;
-      k.memory_efficiency = spec.efficiency.gpu_memory;
-      est += gpu.kernel_duration(k);
-      if (gpu.spec().pcie_bandwidth > 0.0) {
-        est += 2.0 * per_card * spec.pair_bytes / gpu.spec().pcie_bandwidth;
-      }
-      futs.push_back(stream.launch(std::move(k)));
-      futs.push_back(stream.memcpy_d2h(per_card * spec.pair_bytes));
-      ++st.reduce_tasks;
-    }
-  }
-  return futs;
 }
 
 /// The fault-tolerant per-node supervisor: runs the same map -> combine ->
@@ -501,58 +403,42 @@ sim::Process ft_node_supervisor(Cluster& cluster,
   const double map_t0 = sim.now();
 
   // -- map stage: retryable block attempts ------------------------------------
-  // Block granularity honours the policy: static dispatch splits each
-  // partition CPU/GPU by p (multiplier x cores CPU blocks, one GPU block
-  // per card x stream); dynamic dispatch chops into block_items-sized
-  // blocks, the first p share starting on CPU.
+  // Block layout is the graph path's: static dispatch takes the Eq (8)
+  // plan (MapStage::plan_static); dynamic dispatch takes the policy's
+  // block list (MapStage::dynamic_blocks), the first p share starting on
+  // CPU and the rest round-robin over (card, stream).
   const double p = st->cpu_fraction[rk];
   const int cards = ns->gpu_ok() ? ns->ctx.node().gpu_count() : 0;
   const int streams = std::max(1, st->gpu_streams[rk]);
-  const JobShape shape = job_shape(spec);
+  MapStage<K, V> map(ns->ctx);
+  using Block = typename FtNodeState<K, V>::Block;
   for (const InputSlice& partition : st->node_partitions[rk]) {
     if (partition.empty()) continue;
     auto dispatch_pause = sim::delay(sim, calib::kPrsIterationOverhead);
     co_await dispatch_pause;
     std::size_t first = ns->blocks.size();
     if (policy->dispatch() == SchedulingMode::kStatic) {
-      auto [cpu_part, gpu_part] = partition.split_at_fraction(
-          ns->cpu_ok() ? (cards > 0 ? p : 1.0) : 0.0);
-      if (!cpu_part.empty() && ns->cpu_ok()) {
-        const int n_blocks = roofline::AnalyticScheduler::cpu_block_count(
-            ns->ctx.node().cpu().cores(), cfg.cpu_block_multiplier);
-        for (const InputSlice& b :
-             cpu_part.blocks(static_cast<std::size_t>(n_blocks))) {
-          typename FtNodeState<K, V>::Block blk;
-          blk.slice = b;
-          ns->blocks.push_back(blk);
-        }
+      const auto plan = map.plan_static(partition);
+      for (const InputSlice& b : plan.cpu_blocks) {
+        Block blk;
+        blk.slice = b;
+        ns->blocks.push_back(blk);
       }
-      if (!gpu_part.empty() && cards > 0) {
-        const auto n_blocks =
-            static_cast<std::size_t>(streams) *
-            static_cast<std::size_t>(cards);
-        std::size_t i = 0;
-        for (const InputSlice& b : gpu_part.blocks(n_blocks)) {
-          typename FtNodeState<K, V>::Block blk;
-          blk.slice = b;
-          blk.prefer_gpu = true;
-          blk.card = static_cast<int>(i % static_cast<std::size_t>(cards));
-          blk.stream = static_cast<int>(
-              (i / static_cast<std::size_t>(cards)) %
-              static_cast<std::size_t>(streams));
-          ++i;
-          ns->blocks.push_back(blk);
-        }
+      for (const auto& gb : plan.gpu_blocks) {
+        Block blk;
+        blk.slice = gb.slice;
+        blk.prefer_gpu = true;
+        blk.card = gb.card;
+        blk.stream = gb.stream;
+        ns->blocks.push_back(blk);
       }
     } else {
-      const std::size_t block_items = policy->block_items(
-          cluster, shape, cfg, rank, partition.size());
-      auto list = partition.blocks_of(block_items);
+      const auto list = map.dynamic_blocks(partition);
       const auto cpu_count = static_cast<std::size_t>(
           static_cast<double>(list.size()) * (cards > 0 ? p : 1.0) + 0.5);
       std::size_t g = 0;
       for (std::size_t i = 0; i < list.size(); ++i) {
-        typename FtNodeState<K, V>::Block blk;
+        Block blk;
         blk.slice = list[i];
         if (i >= cpu_count && cards > 0) {
           blk.prefer_gpu = true;
@@ -602,7 +488,7 @@ sim::Process ft_node_supervisor(Cluster& cluster,
   ns->map_active = false;
 
   // -- GPU intermediate copy-back (winners only), with a deadline ------------
-  NodeMapBatch<K, V> batch;
+  NodeMapBatch<K, V>& batch = map.batch();
   for (auto& blk : ns->blocks) {
     if (blk.winner_gpu) {
       batch.gpu_pairs += ns->emitters[blk.winner].size();
@@ -611,9 +497,7 @@ sim::Process ft_node_supervisor(Cluster& cluster,
     batch.emitters.push_back(std::move(ns->emitters[blk.winner]));
   }
   {
-    const double d2h_bytes =
-        static_cast<double>(batch.gpu_pairs) * spec.pair_bytes +
-        static_cast<double>(batch.gpu_items) * spec.gpu_item_d2h_bytes;
+    const double d2h_bytes = map.d2h_bytes();
     if (d2h_bytes > 0.0 && cards > 0) {
       const double per_card = d2h_bytes / static_cast<double>(cards);
       for (int g = 0; g < cards; ++g) {
@@ -637,8 +521,7 @@ sim::Process ft_node_supervisor(Cluster& cluster,
       }
     }
   }
-  auto merge_cost = sim::delay(
-      sim, static_cast<double>(node_items) * calib::kPrsPerItemOverhead);
+  auto merge_cost = sim::delay(sim, map.host_merge_cost(node_items));
   co_await merge_cost;
   st->map_time = std::max(st->map_time, sim.now() - map_t0);
   if (tr != nullptr) {
@@ -650,26 +533,27 @@ sim::Process ft_node_supervisor(Cluster& cluster,
   }
 
   // -- local combine + shuffle over the alive set -----------------------------
-  auto outbound = ft_prepare_outbound(ns, batch);
+  // Keys hash onto alive-set positions, so a blacklisted node is never a
+  // reduce destination.
+  ShuffleStage<K, V> shuffle(ns->ctx);
+  auto outbound = shuffle.prepare(batch, ns->alive.size());
   const double shuffle_t0 = sim.now();
-  // Collect inbound buckets keyed by source rank, not in arrival order: the
-  // fast path combines the all_to_all result rank-by-rank, and floating-point
-  // reduce combines are order-sensitive, so a fault-free run through this
-  // path must merge in the same order to stay byte-identical (the checkpoint
-  // crash-matrix asserts exactly that).
-  std::map<int, simnet::Message> inbound_by_src;
-  std::size_t self_pos = 0;
-  for (std::size_t i = 0; i < ns->alive.size(); ++i) {
-    if (ns->alive[i] == rank) self_pos = i;
-  }
+  // Collect inbound buckets by source position (alive is ascending), not in
+  // arrival order: the fast path combines the all_to_all result
+  // rank-by-rank, and floating-point reduce combines are order-sensitive,
+  // so a fault-free run through this path must merge in the same order to
+  // stay byte-identical (the checkpoint crash-matrix asserts exactly that).
+  std::vector<simnet::Message> inbound(ns->alive.size());
   for (std::size_t i = 0; i < ns->alive.size(); ++i) {
     const int peer = ns->alive[i];
-    if (peer == rank) continue;
+    if (peer == rank) {
+      inbound[i] = std::move(outbound[i]);
+      continue;
+    }
     ctl->expecting[rk][static_cast<std::size_t>(peer)] = 1;
     comm.send(peer, tag_base + kShuffleTag, std::move(outbound[i]));
     sim.spawn(ft_recv_pump(ns, peer, tag_base + kShuffleTag));
   }
-  inbound_by_src.emplace(rank, std::move(outbound[self_pos]));
   std::size_t want = ns->alive.size() - 1;
   while (want > 0) {
     auto ev = co_await ns->events->recv();
@@ -679,44 +563,26 @@ sim::Process ft_node_supervisor(Cluster& cluster,
     const auto src = static_cast<std::size_t>(ev->rank);
     ctl->expecting[rk][src] = 0;
     ctl->got[rk][src] = 1;
-    inbound_by_src.emplace(ev->rank, std::move(ev->payload));
+    inbound[ns->alive_pos(ev->rank)] = std::move(ev->payload);
     --want;
   }
-  st->shuffle_time = std::max(st->shuffle_time, sim.now() - shuffle_t0);
-  if (tr != nullptr) {
-    tr->complete(ns->ctx.runner_track, "shuffle", "phase", shuffle_t0,
-                 sim.now());
-  }
+  shuffle.finish(shuffle_t0);
 
   // -- reduce, with a deadline and a CPU-retiming fallback --------------------
+  ReduceStage<K, V> reduce(ns->ctx);
   const double reduce_t0 = sim.now();
-  std::map<K, V> reduced;
   std::size_t reduce_pairs = 0;
-  {
-    using Payload = std::shared_ptr<std::vector<std::pair<K, V>>>;
-    for (auto& [src, m] : inbound_by_src) {
-      if (!m.has_payload()) continue;
-      auto& pairs = *m.template payload_as<Payload>();
-      reduce_pairs += pairs.size();
-      combine_into(spec, reduced, pairs);
-    }
-  }
+  std::map<K, V> reduced = reduce.merge(inbound, reduce_pairs);
   for (int round = 0; round < 2; ++round) {
     double est = 0.0;
     std::vector<sim::Future<sim::Unit>> futs;
     if (round == 0) {
-      futs = ft_submit_reduce(ns, reduce_pairs, est);
+      futs = reduce.submit_device_tasks(reduce_pairs, &est);
     } else if (ns->cpu_ok() && reduce_pairs > 0) {
       // Fallback: re-time the whole reduce on the CPU (the merge itself is
       // host-side and already done, so this is idempotent).
-      simdev::CpuTask t;
-      t.name = spec.name + ":reduce:cpu";
-      t.workload.flops = static_cast<double>(reduce_pairs) *
-                         spec.reduce_flops_per_pair;
-      t.workload.mem_traffic =
-          static_cast<double>(reduce_pairs) * spec.pair_bytes;
-      t.compute_efficiency = spec.efficiency.cpu_compute;
-      t.memory_efficiency = spec.efficiency.cpu_memory;
+      simdev::CpuTask t =
+          cpu_reduce_task(spec, static_cast<double>(reduce_pairs));
       est = ns->ctx.node().cpu().task_duration(t);
       futs.push_back(ns->ctx.node().cpu().submit(std::move(t)));
       ++st->reduce_tasks;
@@ -739,19 +605,15 @@ sim::Process ft_node_supervisor(Cluster& cluster,
     ft_announce_failure(*ctl, rank);
     co_return;
   }
-  st->reduce_time = std::max(st->reduce_time, sim.now() - reduce_t0);
-  if (tr != nullptr) {
-    tr->complete(
-        ns->ctx.runner_track, "reduce", "phase", reduce_t0, sim.now(),
-        {obs::arg("pairs", static_cast<std::uint64_t>(reduce_pairs))});
-  }
+  reduce.finish(reduce_t0, reduce_pairs);
 
   // -- gather final values on the master --------------------------------------
   const double gather_t0 = sim.now();
   GatherStage<K, V> gather(ns->ctx);
   simnet::Message mine = gather.pack(std::move(reduced));
   if (rank == 0) {
-    std::map<int, simnet::Message> by_rank;
+    std::vector<simnet::Message> gathered(ns->alive.size());
+    gathered[0] = std::move(mine);
     for (int peer : ns->alive) {
       if (peer == 0) continue;
       ctl->expecting[rk][static_cast<std::size_t>(peer)] = 1;
@@ -766,12 +628,9 @@ sim::Process ft_node_supervisor(Cluster& cluster,
       const auto src = static_cast<std::size_t>(ev->rank);
       ctl->expecting[rk][src] = 0;
       ctl->got[rk][src] = 1;
-      by_rank.emplace(ev->rank, std::move(ev->payload));
+      gathered[ns->alive_pos(ev->rank)] = std::move(ev->payload);
       --pending;
     }
-    std::vector<simnet::Message> gathered;
-    gathered.push_back(std::move(mine));
-    for (auto& [r, m] : by_rank) gathered.push_back(std::move(m));
     gather.unpack_on_master(gathered);
     ctl->finish_time = sim.now();
   } else {
@@ -796,7 +655,6 @@ JobResult<K, V> run_job_tolerant(Cluster& cluster,
   fault::FaultInjector* inj = cfg.faults;
   cluster.set_fault_hooks(inj, inj);
   const int nodes = cluster.size();
-  const JobShape shape = job_shape(spec);
   const double t0 = sim.now();
   const ClusterCounters counters0 = snapshot_counters(cluster);
   const std::uint64_t retrans0 = cluster.fabric().retransmits();
@@ -825,30 +683,8 @@ JobResult<K, V> run_job_tolerant(Cluster& cluster,
       if (alive_mask[static_cast<std::size_t>(r)]) alive.push_back(r);
     }
 
-    st = std::make_shared<JobState<K, V>>();
-    st->spec = &spec;
-    st->cfg = cfg;
-    st->n_items = n_items;
-    st->cpu_fraction.resize(static_cast<std::size_t>(nodes), 0.0);
-    st->gpu_streams.resize(static_cast<std::size_t>(nodes), 1);
-    std::vector<double> capability(static_cast<std::size_t>(nodes), 0.0);
-    for (int r : alive) {
-      const auto rk = static_cast<std::size_t>(r);
-      const NodeDecision d = policy->node_decision(cluster, shape, cfg, r);
-      st->cpu_fraction[rk] = d.cpu_fraction;
-      capability[rk] = d.capability;  // blacklisted ranks stay at 0
-    }
-    st->node_partitions = Partitioner::partition(n_items, capability,
-                                                 cfg.partitions_per_node);
-    for (int r : alive) {
-      const auto rk = static_cast<std::size_t>(r);
-      std::size_t node_items = 0;
-      for (const auto& part : st->node_partitions[rk]) {
-        node_items += part.size();
-      }
-      st->gpu_streams[rk] = policy->gpu_streams(
-          cluster, shape, cfg, r, node_items, st->cpu_fraction[rk]);
-    }
+    // Blacklisted ranks get capability 0: the re-split skips them.
+    st = make_job_state(cluster, spec, cfg, n_items, policy, alive);
 
     ctl = std::make_shared<FtControl>(nodes);
     ctl->attempt = attempt;

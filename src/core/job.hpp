@@ -108,23 +108,13 @@ struct JobConfig {
   /// default is two partitions per fat node.
   int partitions_per_node = 2;
 
-  /// CPU blocks = multiplier x cores (paper's splitting pattern).
-  int cpu_block_multiplier = 4;
-
   /// Dynamic mode: items per block (0 = auto: partition / (4*(cores+1))).
   std::size_t dynamic_block_items = 0;
-
-  /// Overlap-percentage threshold for multi-stream GPU execution (Eq (9)).
-  double stream_overlap_threshold = 0.2;
 
   /// Charge network time for distributing input partitions. Table 3 /
   /// Figure 6 pre-stage input ("copied into CPU and GPU memories in
   /// advance"), so the default is off.
   bool time_input_distribution = false;
-
-  /// Charge the initial host->GPU staging of cached (loop-invariant) data.
-  /// §IV.B excludes it as one-off, amortized overhead.
-  bool time_initial_staging = false;
 
   /// Charge the one-time PRS job startup cost. The iterative driver sets
   /// this only on the first iteration.

@@ -35,12 +35,12 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/partitioner.hpp"
 #include "core/pipeline.hpp"
 #include "graph/executor.hpp"
 #include "graph/task_graph.hpp"
@@ -114,40 +114,11 @@ struct GraphJob {
   std::vector<graph::NodeId> rank_done;
 };
 
-/// Builds the JobState (level-1/level-2 scheduling decisions): per-node
-/// Eq (8) split and stream counts, capability-weighted partitioning.
-template <typename K, typename V>
-std::shared_ptr<JobState<K, V>> make_job_state(Cluster& cluster,
-                                               const MapReduceSpec<K, V>& spec,
-                                               const JobConfig& cfg,
-                                               std::size_t n_items,
-                                               SchedulePolicy* policy) {
-  auto st = std::make_shared<JobState<K, V>>();
-  st->spec = &spec;
-  st->cfg = cfg;
-  st->n_items = n_items;
-  const int nodes = cluster.size();
-  const JobShape shape = job_shape(spec);
-  st->cpu_fraction.resize(static_cast<std::size_t>(nodes), 0.0);
-  st->gpu_streams.resize(static_cast<std::size_t>(nodes), 1);
-  std::vector<double> capability(static_cast<std::size_t>(nodes), 0.0);
-  for (int r = 0; r < nodes; ++r) {
-    const auto rk = static_cast<std::size_t>(r);
-    const NodeDecision d = policy->node_decision(cluster, shape, cfg, r);
-    st->cpu_fraction[rk] = d.cpu_fraction;
-    capability[rk] = d.capability;
-  }
-  st->node_partitions =
-      Partitioner::partition(n_items, capability, cfg.partitions_per_node);
-  for (int r = 0; r < nodes; ++r) {
-    const auto rk = static_cast<std::size_t>(r);
-    std::size_t node_items = 0;
-    for (const auto& p : st->node_partitions[rk]) node_items += p.size();
-    st->gpu_streams[rk] = policy->gpu_streams(cluster, shape, cfg, r,
-                                              node_items,
-                                              st->cpu_fraction[rk]);
-  }
-  return st;
+/// Every rank of the cluster, ascending: the alive set of a fault-free job.
+inline std::vector<int> all_ranks(const Cluster& cluster) {
+  std::vector<int> ranks(static_cast<std::size_t>(cluster.size()));
+  std::iota(ranks.begin(), ranks.end(), 0);
+  return ranks;
 }
 
 // -- graph node work ----------------------------------------------------------
@@ -303,7 +274,8 @@ sim::Process g_shuffle(GraphRankState<K, V>* rs,
                        sim::Promise<sim::Unit> done) {
   auto& sim = rs->ctx.sim();
   auto& comm = rs->ctx.cluster->fabric().comm(rs->ctx.rank);
-  auto outbound = rs->shuffle->prepare(rs->map->batch());
+  auto outbound = rs->shuffle->prepare(
+      rs->map->batch(), static_cast<std::size_t>(rs->ctx.cluster->size()));
   const double t0 = sim.now();
   auto a2a = comm.all_to_all(std::move(outbound),
                              kShuffleTag + rs->tag_base);
@@ -407,8 +379,7 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
                                       st->node_partitions[rk].size())),
            obs::arg("cpu_blocks",
                     roofline::AnalyticScheduler::cpu_block_count(
-                        rs->ctx.node().cpu().cores(),
-                        st->cfg.cpu_block_multiplier)),
+                        rs->ctx.node().cpu().cores())),
            obs::arg("mode", policy->name())});
     }
     rs->map.emplace(rs->ctx);
@@ -580,7 +551,8 @@ JobResult<K, V> run_job_graph(Cluster& cluster,
                               SchedulePolicy* policy) {
   auto& sim = cluster.simulator();
   GraphJob<K, V> job;
-  job.st = make_job_state(cluster, spec, cfg, n_items, policy);
+  job.st = make_job_state(cluster, spec, cfg, n_items, policy,
+                          all_ranks(cluster));
   graph::TaskGraph g(spec.name + ":job");
   graph::GraphExecutor exec(sim, g);
   const bool overlap = cfg.pipeline_depth > 1 &&
@@ -660,6 +632,7 @@ WindowResult<K, V> run_job_window(
   auto win = std::make_shared<GraphWindow<K, V>>();
   std::vector<GraphJob<K, V>> jobs;
   jobs.reserve(static_cast<std::size_t>(window));
+  const std::vector<int> ranks = all_ranks(cluster);
 
   graph::NodeId prev_advance = graph::kNoNode;
   for (int j = 0; j < window; ++j) {
@@ -668,7 +641,7 @@ WindowResult<K, V> run_job_window(
     const int tag_base = j * kGraphIterTagStride;
     jobs.emplace_back();
     GraphJob<K, V>& job = jobs.back();
-    job.st = make_job_state(cluster, spec, cfg, n_items, policy);
+    job.st = make_job_state(cluster, spec, cfg, n_items, policy, ranks);
     job.st->cfg.charge_job_startup = cfg.charge_job_startup && it == 0;
 
     // The evolving state reaches the workers before their maps run: each

@@ -25,6 +25,7 @@
 #include "core/cluster.hpp"
 #include "core/job.hpp"
 #include "core/mapreduce_spec.hpp"
+#include "core/partitioner.hpp"
 #include "core/schedule_policy.hpp"
 #include "obs/trace.hpp"
 #include "simtime/channel.hpp"
@@ -78,6 +79,43 @@ struct JobState {
   double reduce_time = 0.0;
   double gather_time = 0.0;
 };
+
+/// Builds the JobState (level-1/level-2 scheduling decisions) over the
+/// `alive` ranks (ascending): per-node Eq (8) split and stream counts,
+/// capability-weighted partitioning. Ranks outside `alive` keep p = 0,
+/// capability 0 (no partition items) and one stream.
+template <typename K, typename V>
+std::shared_ptr<JobState<K, V>> make_job_state(
+    Cluster& cluster, const MapReduceSpec<K, V>& spec, const JobConfig& cfg,
+    std::size_t n_items, SchedulePolicy* policy,
+    const std::vector<int>& alive) {
+  auto st = std::make_shared<JobState<K, V>>();
+  st->spec = &spec;
+  st->cfg = cfg;
+  st->n_items = n_items;
+  const auto nodes = static_cast<std::size_t>(cluster.size());
+  const JobShape shape = job_shape(spec);
+  st->cpu_fraction.resize(nodes, 0.0);
+  st->gpu_streams.resize(nodes, 1);
+  std::vector<double> capability(nodes, 0.0);
+  for (int r : alive) {
+    const auto rk = static_cast<std::size_t>(r);
+    const NodeDecision d = policy->node_decision(cluster, shape, cfg, r);
+    st->cpu_fraction[rk] = d.cpu_fraction;
+    capability[rk] = d.capability;
+  }
+  st->node_partitions =
+      Partitioner::partition(n_items, capability, cfg.partitions_per_node);
+  for (int r : alive) {
+    const auto rk = static_cast<std::size_t>(r);
+    std::size_t node_items = 0;
+    for (const auto& p : st->node_partitions[rk]) node_items += p.size();
+    st->gpu_streams[rk] = policy->gpu_streams(cluster, shape, cfg, r,
+                                              node_items,
+                                              st->cpu_fraction[rk]);
+  }
+  return st;
+}
 
 /// Everything the stages of one node share for one job run.
 template <typename K, typename V>
@@ -225,11 +263,9 @@ sim::Process gpu_block_worker(JobState<K, V>& st, FatNode& node,
 /// serial per-task dispatch cost as each block is handed out — daemons pay
 /// the dispatch latency only for blocks they actually pull, instead of the
 /// whole partition's worth up front.
-template <typename K, typename V>
-sim::Process block_dispatcher(sim::Simulator& sim, JobState<K, V>& st,
-                              std::shared_ptr<std::vector<InputSlice>> list,
-                              sim::Channel<InputSlice>& blocks) {
-  (void)st;
+inline sim::Process block_dispatcher(
+    sim::Simulator& sim, std::shared_ptr<std::vector<InputSlice>> list,
+    sim::Channel<InputSlice>& blocks) {
   for (const InputSlice& b : *list) {
     auto handoff = sim::delay(sim, calib::kPrsTaskDispatch);
     co_await handoff;
@@ -272,7 +308,7 @@ class MapStage {
     const double est_tasks =
         (st.cpu_fraction[ctx_.rk()] > 0.0
              ? roofline::AnalyticScheduler::cpu_block_count(
-                   ctx_.node().cpu().cores(), st.cfg.cpu_block_multiplier)
+                   ctx_.node().cpu().cores())
              : 0) +
         (st.cpu_fraction[ctx_.rk()] < 1.0
              ? st.gpu_streams[ctx_.rk()] * ctx_.node().gpu_count()
@@ -305,8 +341,8 @@ class MapStage {
         partition.split_at_fraction(st.cpu_fraction[ctx_.rk()]);
     StaticPlan plan;
     if (!cpu_part.empty()) {
-      const int n_blocks = roofline::AnalyticScheduler::cpu_block_count(
-          node.cpu().cores(), st.cfg.cpu_block_multiplier);
+      const int n_blocks =
+          roofline::AnalyticScheduler::cpu_block_count(node.cpu().cores());
       for (const InputSlice& b :
            cpu_part.blocks(static_cast<std::size_t>(n_blocks))) {
         plan.cpu_blocks.push_back(b);
@@ -331,6 +367,15 @@ class MapStage {
     return plan;
   }
 
+  /// The dynamic block list of one partition: fixed-size blocks of the
+  /// policy's granularity, in dispatch order.
+  std::vector<InputSlice> dynamic_blocks(const InputSlice& partition) const {
+    const JobShape shape = job_shape(ctx_.spec());
+    const std::size_t block_items = ctx_.policy->block_items(
+        *ctx_.cluster, shape, ctx_.st->cfg, ctx_.rank, partition.size());
+    return partition.blocks_of(block_items);
+  }
+
   /// Dynamic dispatch of one partition: spawns the per-device block
   /// workers and the serial dispatcher; the returned future resolves when
   /// every worker has drained the channel and finished.
@@ -338,12 +383,8 @@ class MapStage {
     auto& st = *ctx_.st;
     auto& sim = ctx_.sim();
     FatNode& node = ctx_.node();
-
-    const JobShape shape = job_shape(ctx_.spec());
-    const std::size_t block_items = ctx_.policy->block_items(
-        *ctx_.cluster, shape, st.cfg, ctx_.rank, partition.size());
     auto blocks_list = std::make_shared<std::vector<InputSlice>>(
-        partition.blocks_of(block_items));
+        dynamic_blocks(partition));
 
     auto blocks = std::make_shared<sim::Channel<InputSlice>>(sim);
     channels_.push_back(blocks);  // keep alive until the job completes
@@ -365,20 +406,24 @@ class MapStage {
                                    all_done));
       }
     }
-    sim.spawn(block_dispatcher(sim, st, std::move(blocks_list), *blocks));
+    sim.spawn(block_dispatcher(sim, std::move(blocks_list), *blocks));
     return all_done.get_future();
   }
 
-  /// Intermediate data in GPU memory is copied back to CPU memory after
-  /// all local map tasks finish (§III.A.2): emitted pairs plus per-item
-  /// intermediate rows. With several cards the transfers run in parallel
-  /// over each card's own PCI-E link.
-  sim::Future<sim::Unit> copy_back() {
+  /// Bytes of GPU-resident intermediates to copy back after the map
+  /// barrier: emitted pairs plus per-item intermediate rows.
+  double d2h_bytes() const {
     const auto& spec = ctx_.spec();
+    return static_cast<double>(batch_.gpu_pairs) * spec.pair_bytes +
+           static_cast<double>(batch_.gpu_items) * spec.gpu_item_d2h_bytes;
+  }
+
+  /// Intermediate data in GPU memory is copied back to CPU memory after
+  /// all local map tasks finish (§III.A.2). With several cards the
+  /// transfers run in parallel over each card's own PCI-E link.
+  sim::Future<sim::Unit> copy_back() {
     FatNode& node = ctx_.node();
-    const double d2h_bytes =
-        static_cast<double>(batch_.gpu_pairs) * spec.pair_bytes +
-        static_cast<double>(batch_.gpu_items) * spec.gpu_item_d2h_bytes;
+    const double d2h_bytes = this->d2h_bytes();
     std::vector<sim::Future<sim::Unit>> copies;
     if (d2h_bytes > 0.0 && node.gpu_count() > 0) {
       const double per_card =
@@ -420,18 +465,19 @@ class MapStage {
 // -- shuffle stage ------------------------------------------------------------
 
 /// Local combine (the paper's optional combiner(), Table 1) followed by
-/// bucketing: pairs with the same key land on hash(key) % nodes.
+/// bucketing: pairs with the same key land on hash(key) % dests.
 template <typename K, typename V>
 class ShuffleStage {
  public:
   explicit ShuffleStage(StageContext<K, V>& ctx) : ctx_(ctx) {}
 
-  std::vector<simnet::Message> prepare(NodeMapBatch<K, V>& batch) {
+  /// One message per destination: the whole cluster on the graph path,
+  /// the alive set (by position) on the tolerant path.
+  std::vector<simnet::Message> prepare(NodeMapBatch<K, V>& batch,
+                                       std::size_t dests) {
     auto& st = *ctx_.st;
     const auto& spec = ctx_.spec();
-    const int nodes = ctx_.cluster->size();
-    std::vector<std::vector<std::pair<K, V>>> buckets(
-        static_cast<std::size_t>(nodes));
+    std::vector<std::vector<std::pair<K, V>>> buckets(dests);
     if (spec.local_combine) {
       std::map<K, V> combined;
       for (auto& e : batch.emitters) {
@@ -439,8 +485,7 @@ class ShuffleStage {
         combine_into(spec, combined, e.pairs());
       }
       for (auto& [k, v] : combined) {
-        const auto dst = std::hash<K>{}(k) % static_cast<std::size_t>(nodes);
-        buckets[dst].emplace_back(k, std::move(v));
+        buckets[std::hash<K>{}(k) % dests].emplace_back(k, std::move(v));
       }
     } else {
       // No combiner: every raw emitted pair goes on the wire; the reduce
@@ -448,17 +493,16 @@ class ShuffleStage {
       for (auto& e : batch.emitters) {
         st.intermediate_pairs += e.size();
         for (auto& [k, v] : e.pairs()) {
-          const auto dst =
-              std::hash<K>{}(k) % static_cast<std::size_t>(nodes);
-          buckets[dst].emplace_back(std::move(k), std::move(v));
+          buckets[std::hash<K>{}(k) % dests].emplace_back(std::move(k),
+                                                          std::move(v));
         }
       }
     }
     std::vector<simnet::Message> outbound;
-    outbound.reserve(static_cast<std::size_t>(nodes));
-    for (int r = 0; r < nodes; ++r) {
+    outbound.reserve(dests);
+    for (auto& bucket : buckets) {
       auto payload = std::make_shared<std::vector<std::pair<K, V>>>(
-          std::move(buckets[static_cast<std::size_t>(r)]));
+          std::move(bucket));
       const double bytes =
           static_cast<double>(payload->size()) * spec.pair_bytes;
       outbound.emplace_back(bytes, std::move(payload));
@@ -486,6 +530,19 @@ class ShuffleStage {
 
 // -- reduce stage -------------------------------------------------------------
 
+/// The timed CPU reduce task over `pairs` pairs.
+template <typename K, typename V>
+simdev::CpuTask cpu_reduce_task(const MapReduceSpec<K, V>& spec,
+                                double pairs) {
+  simdev::CpuTask t;
+  t.name = spec.name + ":reduce:cpu";
+  t.workload.flops = pairs * spec.reduce_flops_per_pair;
+  t.workload.mem_traffic = pairs * spec.pair_bytes;
+  t.compute_efficiency = spec.efficiency.cpu_compute;
+  t.memory_efficiency = spec.efficiency.cpu_memory;
+  return t;
+}
+
 /// Merges inbound shuffle payloads and charges the reduce tasks on the
 /// devices, split like the map stage. GPU reduce work is spread across all
 /// cards (each with its own PCI-E link), mirroring the map-stage D2H path.
@@ -508,8 +565,11 @@ class ReduceStage {
     return reduced;
   }
 
+  /// Submits the reduce tasks. When `est` is given it receives the summed
+  /// modeled duration of every submitted piece (the tolerant path's
+  /// deadline; a safe over-estimate).
   std::vector<sim::Future<sim::Unit>> submit_device_tasks(
-      std::size_t reduce_pairs) {
+      std::size_t reduce_pairs, double* est = nullptr) {
     auto& st = *ctx_.st;
     const auto& spec = ctx_.spec();
     FatNode& node = ctx_.node();
@@ -519,12 +579,8 @@ class ReduceStage {
                            st.cpu_fraction[ctx_.rk()];
     const double gpu_pairs = static_cast<double>(reduce_pairs) - cpu_pairs;
     if (cpu_pairs > 0.0) {
-      simdev::CpuTask t;
-      t.name = spec.name + ":reduce:cpu";
-      t.workload.flops = cpu_pairs * spec.reduce_flops_per_pair;
-      t.workload.mem_traffic = cpu_pairs * spec.pair_bytes;
-      t.compute_efficiency = spec.efficiency.cpu_compute;
-      t.memory_efficiency = spec.efficiency.cpu_memory;
+      simdev::CpuTask t = cpu_reduce_task(spec, cpu_pairs);
+      if (est != nullptr) *est += node.cpu().task_duration(t);
       futs.push_back(node.cpu().submit(std::move(t)));
       ++st.reduce_tasks;
     }
@@ -534,7 +590,8 @@ class ReduceStage {
       const double per_card =
           gpu_pairs / static_cast<double>(node.gpu_count());
       for (int g = 0; g < node.gpu_count(); ++g) {
-        auto& stream = node.gpu(g).default_stream();
+        auto& gpu = node.gpu(g);
+        auto& stream = gpu.default_stream();
         // Reduce input starts in CPU memory after the shuffle: stage it.
         futs.push_back(stream.memcpy_h2d(per_card * spec.pair_bytes));
         simdev::KernelDesc k;
@@ -543,6 +600,13 @@ class ReduceStage {
         k.workload.mem_traffic = per_card * spec.pair_bytes;
         k.compute_efficiency = spec.efficiency.gpu_compute;
         k.memory_efficiency = spec.efficiency.gpu_memory;
+        if (est != nullptr) {
+          *est += gpu.kernel_duration(k);
+          if (gpu.spec().pcie_bandwidth > 0.0) {
+            *est += 2.0 * per_card * spec.pair_bytes /
+                    gpu.spec().pcie_bandwidth;
+          }
+        }
         futs.push_back(stream.launch(std::move(k)));
         futs.push_back(stream.memcpy_d2h(per_card * spec.pair_bytes));
         ++st.reduce_tasks;

@@ -53,8 +53,8 @@ int SchedulePolicy::gpu_streams(Cluster& cluster, const JobShape& shape,
       static_cast<double>(cfg.partitions_per_node) * (1.0 - cpu_fraction) *
       shape.item_bytes;
   if (partition_bytes <= 0.0) return 1;
-  return cluster.scheduler(rank).recommended_streams(
-      partition_bytes, shape.ai_of_block, cfg.stream_overlap_threshold);
+  return cluster.scheduler(rank).recommended_streams(partition_bytes,
+                                                    shape.ai_of_block);
 }
 
 std::size_t SchedulePolicy::block_items(Cluster& cluster,

@@ -1,9 +1,11 @@
 #include "svc/job_spec.hpp"
 
 #include <bit>
+#include <cctype>
 #include <charconv>
 
 #include "common/error.hpp"
+#include "fault/fault_plan.hpp"
 #include "simdev/device_spec.hpp"
 
 namespace prs::svc {
@@ -50,6 +52,29 @@ bool parse_bool(const std::string& v, bool& out) {
     return true;
   }
   return false;
+}
+
+/// Shortest text that parses back to exactly `v`.
+std::string exact_double(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, res.ptr);
+}
+
+/// A fault spec as one whitespace-free wire token. A valid spec travels in
+/// its canonical form (exact doubles); an invalid one keeps its text with
+/// each whitespace character turned into '?', which no clause accepts, so
+/// the server rejects it just as validate() would.
+std::string fault_spec_token(const std::string& spec) {
+  try {
+    return fault::FaultPlan::parse(spec).to_spec();
+  } catch (const InvalidArgument&) {
+    std::string out = spec;
+    for (char& c : out) {
+      if (std::isspace(static_cast<unsigned char>(c))) c = '?';
+    }
+    return out;
+  }
 }
 
 bool known_app(const std::string& a) {
@@ -141,6 +166,13 @@ void JobSpec::validate() const {
     throw InvalidArgument("pipeline_depth > 1 requires a static-dispatch "
                           "policy (static|adaptive)");
   }
+  // A malformed fault spec is a bad job, rejected before admission rather
+  // than failing once the job runs.
+  try {
+    (void)fault::FaultPlan::parse(fault_spec);
+  } catch (const InvalidArgument& e) {
+    throw InvalidArgument(std::string("bad fault_spec: ") + e.what());
+  }
 }
 
 std::string JobSpec::to_tokens() const {
@@ -169,13 +201,15 @@ std::string JobSpec::to_tokens() const {
   if (gpu_only != def.gpu_only) emit("gpu_only", "1");
   if (cpu_only != def.cpu_only) emit("cpu_only", "1");
   if (cpu_fraction != def.cpu_fraction) {
-    emit("cpu_fraction", std::to_string(cpu_fraction));
+    emit("cpu_fraction", exact_double(cpu_fraction));
   }
   if (seed != def.seed) emit("seed", std::to_string(seed));
   if (pipeline_depth != def.pipeline_depth) {
     emit("pipeline_depth", std::to_string(pipeline_depth));
   }
-  if (!fault_spec.empty()) emit("fault_spec", fault_spec);
+  if (const std::string f = fault_spec_token(fault_spec); !f.empty()) {
+    emit("fault_spec", f);
+  }
   if (fault_seed != def.fault_seed) {
     emit("fault_seed", std::to_string(fault_seed));
   }

@@ -49,6 +49,30 @@ std::string stats_digest(const core::JobStats& stats) {
 
 }  // namespace
 
+JobResources make_job_resources(const JobSpec& spec, sim::Simulator& sim,
+                                core::JobConfig& cfg) {
+  JobResources res;
+  fault::FaultPlan plan = fault::FaultPlan::parse(spec.fault_spec);
+  if (!plan.empty()) {
+    res.injector = std::make_unique<fault::FaultInjector>(
+        sim, std::move(plan), spec.fault_seed);
+    cfg.faults = res.injector.get();
+  }
+  if (!spec.checkpoint_dir.empty()) {
+    res.store =
+        std::make_unique<ckpt::FileCheckpointStore>(spec.checkpoint_dir);
+    ckpt::CheckpointConfig& c = res.checkpoint_cfg;
+    c.store = res.store.get();
+    c.interval = spec.checkpoint_every > 0 ? spec.checkpoint_every : 1;
+    c.recover = spec.resume;
+    c.on_crash = ckpt::OnCrash::kHalt;
+    c.prefix = spec.app;
+    c.run_seed = spec.seed;
+    c.fault_seed = spec.fault_seed;
+  }
+  return res;
+}
+
 LaunchOutcome run_job_spec(const JobSpec& spec, core::Cluster& cluster,
                            const core::NodeConfig& node,
                            const core::JobConfig& cfg, Rng& rng,

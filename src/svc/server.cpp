@@ -7,7 +7,6 @@
 #include "ckpt/store.hpp"
 #include "common/error.hpp"
 #include "core/schedule_policy.hpp"
-#include "fault/injector.hpp"
 #include "obs/export.hpp"
 #include "svc/fair_share.hpp"
 
@@ -732,27 +731,7 @@ void JobServer::run_one_job(Job* job) {
   auto policy = core::make_policy(spec.policy);
   cfg.policy = policy.get();
 
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!spec.fault_spec.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        sim, fault::FaultPlan::parse(spec.fault_spec), spec.fault_seed);
-    cfg.faults = injector.get();
-  }
-
-  std::unique_ptr<ckpt::FileCheckpointStore> store;
-  ckpt::CheckpointConfig ckpt_cfg;
-  const ckpt::CheckpointConfig* checkpoint = nullptr;
-  if (!spec.checkpoint_dir.empty()) {
-    store = std::make_unique<ckpt::FileCheckpointStore>(spec.checkpoint_dir);
-    ckpt_cfg.store = store.get();
-    ckpt_cfg.interval = spec.checkpoint_every > 0 ? spec.checkpoint_every : 1;
-    ckpt_cfg.recover = spec.resume;
-    ckpt_cfg.on_crash = ckpt::OnCrash::kHalt;
-    ckpt_cfg.prefix = spec.app;
-    ckpt_cfg.run_seed = spec.seed;
-    ckpt_cfg.fault_seed = spec.fault_seed;
-    checkpoint = &ckpt_cfg;
-  }
+  const JobResources res = make_job_resources(spec, sim, cfg);
 
   cfg.stage_gate = [this, job, &sim, &cluster](int) {
     std::uint64_t streams = 0;
@@ -770,7 +749,7 @@ void JobServer::run_one_job(Job* job) {
 
   Rng rng(spec.seed);
   LaunchOutcome outcome =
-      run_job_spec(spec, cluster, node, cfg, rng, checkpoint);
+      run_job_spec(spec, cluster, node, cfg, rng, res.checkpoint());
 
   // Final (unparked) settle: charge the tail stage from the last gate to
   // completion, then publish the outcome.

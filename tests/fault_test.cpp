@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -118,9 +119,13 @@ struct FaultRun {
 FaultRun run_with_faults(const std::string& spec_str, std::uint64_t seed,
                          FaultToleranceConfig tol = {},
                          double flops_per_item = 2000.0) {
+  // The recorder outlives the simulator: tearing the simulator down
+  // destroys the supervisors a crashed node left suspended, and their job
+  // spans close on the way out.
+  std::optional<obs::TraceRecorder> rec;
   sim::Simulator simu;
-  obs::TraceRecorder rec(simu);
-  simu.set_tracer(&rec);
+  rec.emplace(simu);
+  simu.set_tracer(&*rec);
   Cluster cluster(simu, kNodes, NodeConfig{});
   fault::FaultInjector inj(simu, fault::FaultPlan::parse(spec_str), seed);
   auto spec = sum_spec(flops_per_item);
@@ -134,7 +139,7 @@ FaultRun run_with_faults(const std::string& spec_str, std::uint64_t seed,
   out.stats = res.stats;
   out.injected = inj.stats();
   out.log = inj.log();
-  out.trace_json = obs::chrome_trace_string(rec);
+  out.trace_json = obs::chrome_trace_string(*rec);
   simu.set_tracer(nullptr);
   return out;
 }
@@ -216,9 +221,10 @@ struct TolerantPin {
 };
 
 FaultRun run_tolerant_case(const TolerantPin& c) {
+  std::optional<obs::TraceRecorder> rec;  // outlives simu, as above
   sim::Simulator simu;
-  obs::TraceRecorder rec(simu);
-  simu.set_tracer(&rec);
+  rec.emplace(simu);
+  simu.set_tracer(&*rec);
   NodeConfig node;
   node.gpus_per_node = c.gpus;
   Cluster cluster(simu, kNodes, node);
@@ -236,7 +242,7 @@ FaultRun run_tolerant_case(const TolerantPin& c) {
   FaultRun out;
   out.output = std::move(res.output);
   out.stats = res.stats;
-  out.trace_json = obs::chrome_trace_string(rec);
+  out.trace_json = obs::chrome_trace_string(*rec);
   simu.set_tracer(nullptr);
   return out;
 }

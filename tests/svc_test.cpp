@@ -18,7 +18,7 @@
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
 #include "core/schedule_policy.hpp"
-#include "fault/injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "simdev/virtual_gpu.hpp"
 #include "svc/admission.hpp"
 #include "svc/fair_share.hpp"
@@ -210,6 +210,20 @@ TEST(JobSpecWire, TokensRoundTrip) {
   // Defaults survive the round trip.
   EXPECT_EQ(parsed.testbed, spec.testbed);
   EXPECT_EQ(parsed.iterations, spec.iterations);
+
+  // Doubles and spaced multi-clause fault specs survive exactly: each
+  // field stays one token and parses back to the same value.
+  spec.fault_spec =
+      "slow_node:node1:x2; link_drop:*:p=0.05 ;gpu_hang:node0:t=3ms";
+  for (const double p : {0.123456789, 1e-7}) {
+    spec.cpu_fraction = p;
+    const JobSpec back = parse_job_spec_tokens(spec.to_tokens());
+    EXPECT_EQ(back.cpu_fraction, p);
+    EXPECT_EQ(fault::FaultPlan::parse(back.fault_spec).clauses,
+              fault::FaultPlan::parse(spec.fault_spec).clauses);
+    EXPECT_EQ(back.app, "kmeans");
+    EXPECT_EQ(back.gpu_mem_bytes, 2048u);
+  }
 }
 
 TEST(JobSpecWire, ValidateRejectsBadCombinations) {
@@ -296,14 +310,9 @@ LaunchOutcome run_single_shot(const JobSpec& spec) {
   core::JobConfig cfg = spec.job_config();
   auto policy = core::make_policy(spec.policy);
   cfg.policy = policy.get();
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!spec.fault_spec.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        sim, fault::FaultPlan::parse(spec.fault_spec), spec.fault_seed);
-    cfg.faults = injector.get();
-  }
+  const JobResources res = make_job_resources(spec, sim, cfg);
   Rng rng(spec.seed);
-  return run_job_spec(spec, cluster, node, cfg, rng, nullptr);
+  return run_job_spec(spec, cluster, node, cfg, rng, res.checkpoint());
 }
 
 JobSpec small_cmeans(int iterations) {
@@ -609,6 +618,27 @@ TEST(Protocol, RemovedEngineKeyIsRejectedAtSubmit) {
       server, "SUBMIT tenant=a app=cmeans engine=graph", &shutdown);
   EXPECT_EQ(resp.rfind("ERR ", 0), 0u) << resp;
   EXPECT_NE(resp.find("engine"), std::string::npos) << resp;
+  EXPECT_EQ(handle_request(server, "STATUS 1", &shutdown).rfind("ERR ", 0),
+            0u);
+}
+
+TEST(Protocol, MalformedFaultSpecIsRejectedAtSubmit) {
+  // A fault spec that does not parse is a bad job: rejected at SUBMIT with
+  // code=bad_spec, never admitted to fail later.
+  JobServer server(server_cfg(1, 2));
+  server.add_tenant("a", TenantQuota{});
+  bool shutdown = false;
+  JobSpec spec = small_cmeans(2);
+  spec.fault_spec = "bogus:node1";
+  const std::string resp = handle_request(
+      server, "SUBMIT tenant=a " + spec.to_tokens(), &shutdown);
+  EXPECT_EQ(resp.rfind("ERR code=bad_spec", 0), 0u) << resp;
+  EXPECT_NE(resp.find("bogus"), std::string::npos) << resp;
+  spec.fault_spec = "gpu_hang:node1:t=2 ms";  // inner space: still bad
+  EXPECT_EQ(handle_request(server, "SUBMIT tenant=a " + spec.to_tokens(),
+                           &shutdown)
+                .rfind("ERR code=bad_spec", 0),
+            0u);
   EXPECT_EQ(handle_request(server, "STATUS 1", &shutdown).rfind("ERR ", 0),
             0u);
 }
