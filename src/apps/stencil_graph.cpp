@@ -270,8 +270,8 @@ StencilResult stencil_graph(core::Cluster& cluster,
           }
           (*rp)[static_cast<std::size_t>(jj)][b] = res;
         };
-        std::function<void()> body = [ex = &exec, id, relax] {
-          core::detail::run_recording_failure(*ex, id, relax);
+        std::function<void()> body = [id, relax] {
+          core::detail::run_recording_failure(id, relax);
         };
         graph::NodeId n;
         if (hb.gpu) {

@@ -52,26 +52,48 @@ struct CorpusShape {
   double word_len = 0.0;    // average bytes per word
 };
 
+/// Byte and word totals of a run of lines. Integer sums: any chunking of
+/// the corpus adds up to the same totals.
+struct ShapeCounts {
+  std::size_t bytes = 0;
+  std::size_t words = 0;
+  std::size_t word_bytes = 0;
+};
+
+/// Host-pool grain for measure(): lines per chunk.
+constexpr std::size_t kMeasureGrain = 4096;
+
 CorpusShape measure(const Corpus& corpus) {
-  std::size_t bytes = 0, words = 0, word_bytes = 0;
-  for (const auto& line : corpus) {
-    bytes += line.size();
-    bool in_word = false;
-    for (const char ch : line) {
-      const bool space = ch == ' ' || ch == '\t';
-      if (!space) {
-        ++word_bytes;
-        if (!in_word) ++words;
-      }
-      in_word = !space;
-    }
-  }
+  const ShapeCounts c = exec::parallel_reduce(
+      0, corpus.size(), kMeasureGrain, ShapeCounts{},
+      [&corpus](std::size_t b, std::size_t e, ShapeCounts acc) {
+        for (std::size_t i = b; i < e; ++i) {
+          const std::string& line = corpus[i];
+          acc.bytes += line.size();
+          bool in_word = false;
+          for (const char ch : line) {
+            const bool space = ch == ' ' || ch == '\t';
+            if (!space) {
+              ++acc.word_bytes;
+              if (!in_word) ++acc.words;
+            }
+            in_word = !space;
+          }
+        }
+        return acc;
+      },
+      [](ShapeCounts a, const ShapeCounts& b) {
+        a.bytes += b.bytes;
+        a.words += b.words;
+        a.word_bytes += b.word_bytes;
+        return a;
+      });
   CorpusShape s;
   const auto n = static_cast<double>(corpus.size());
-  s.line_bytes = n > 0 ? static_cast<double>(bytes) / n : 0.0;
-  s.word_len = words > 0
-                   ? static_cast<double>(word_bytes) / static_cast<double>(words)
-                   : 0.0;
+  s.line_bytes = n > 0 ? static_cast<double>(c.bytes) / n : 0.0;
+  s.word_len = c.words > 0 ? static_cast<double>(c.word_bytes) /
+                                 static_cast<double>(c.words)
+                           : 0.0;
   return s;
 }
 

@@ -208,7 +208,10 @@ sim::Process ft_block_attempt(std::shared_ptr<FtNodeState<K, V>> ns,
     if (!use_gpu) {
       simdev::CpuTask t = cpu_map_task(spec, slice);
       t.failed = failed;
-      if (fn) t.body = [ns, fn, slice, em] { fn(slice, *em); };
+      if (fn) {
+        attach_map_payload(t, *ns->st,
+                           [ns, fn, slice, em] { fn(slice, *em); });
+      }
       est = node.cpu().task_duration(t);
       depth = ns->cpu_depth;
       op = node.cpu().submit(std::move(t));
@@ -232,7 +235,10 @@ sim::Process ft_block_attempt(std::shared_ptr<FtNodeState<K, V>> ns,
       }
       simdev::KernelDesc k = gpu_map_kernel(spec, slice);
       k.failed = failed;
-      if (fn) k.body = [ns, fn, slice, em] { fn(slice, *em); };
+      if (fn) {
+        attach_map_payload(k, *ns->st,
+                           [ns, fn, slice, em] { fn(slice, *em); });
+      }
       est += gpu.kernel_duration(k);
       depth = ns->gpu_depth;
       op = stream.launch(std::move(k));

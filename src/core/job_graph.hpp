@@ -22,11 +22,11 @@
 //     the copy-back engine runs beside the remaining compute (Fermi-class
 //     1-queue devices serialize either way and lose nothing).
 //
-// Failure semantics: a functional map payload that throws records its
-// graph node in the GraphExecutor (cancelling every not-yet-dispatched
-// node) and rethrows — the error surfaces out of sim.run() at the failing
-// block's completion time, before the stage barrier, wrapped with the
-// graph-node name.
+// Failure semantics: a functional map payload that throws tags the
+// exception with its graph node; the device rethrows it at the failing
+// block's completion time, before the stage barrier, and execute_graph
+// records the node in the GraphExecutor (cancelling every
+// not-yet-dispatched node) and wraps the error with the graph-node name.
 //
 // NOTE (GCC 12): all co_await sites follow the named-temporary rule
 // documented in simtime/process.hpp.
@@ -55,18 +55,24 @@ inline constexpr int kGraphIterTagStride = 1024;
 
 inline constexpr int kStateBroadcastTag = 400;
 
-/// Runs a functional block payload. A throw is recorded against the
-/// block's graph node `node` in `exec` (first failure wins; every
-/// not-yet-dispatched node is cancelled) before it propagates out of the
-/// device worker, so the failure surfaces at the block's completion time.
+/// A block payload's exception tagged with the payload's graph node. The
+/// device rethrows it at the block's completion; execute_graph records it
+/// against the node on the simulator thread.
+struct NodeFailure {
+  graph::NodeId node = graph::kNoNode;
+  std::exception_ptr cause;
+};
+
+/// Runs a functional block payload of graph node `node`. The payload may
+/// run on a pool thread, so a throw only tags the exception with the node
+/// (NodeFailure): no shared state is touched until the failure surfaces
+/// out of the simulator at the block's completion time.
 template <typename Body>
-void run_recording_failure(graph::GraphExecutor& exec, graph::NodeId node,
-                           const Body& body) {
+void run_recording_failure(graph::NodeId node, const Body& body) {
   try {
     body();
   } catch (...) {
-    exec.fail(std::current_exception(), node);
-    throw;
+    throw NodeFailure{node, std::current_exception()};
   }
 }
 
@@ -93,7 +99,6 @@ struct GraphRankState {
   std::optional<ShuffleStage<K, V>> shuffle;
   std::optional<ReduceStage<K, V>> reduce;
   std::optional<GatherStage<K, V>> gather;
-  graph::GraphExecutor* exec = nullptr;
   int tag_base = 0;
   double phase_t0 = 0.0;
   double map_t0 = 0.0;
@@ -198,11 +203,9 @@ sim::Process g_dynamic_partition(GraphRankState<K, V>* rs,
 /// Runs one static block's map payload (a throw fails the block's node).
 template <typename K, typename V>
 void g_map_payload(GraphRankState<K, V>* rs, GraphBlock<K, V>* blk) {
-  auto body = [rs, blk] {
+  run_recording_failure(blk->node, [rs, blk] {
     map_payload(*rs->ctx.st, blk->gpu)(blk->slice, *blk->emitter);
-  };
-  run_recording_failure(*rs->exec, blk->node, body);
-  if (blk->gpu) rs->map->batch().gpu_pairs += blk->emitter->size();
+  });
 }
 
 /// Static map block: a CPU task, or (staging copy +) kernel on the planned
@@ -219,9 +222,10 @@ sim::Future<sim::Unit> g_map_block(GraphRankState<K, V>* rs,
   blk->emitter = &batch.emitters.back();
   ++st.map_tasks;
   const bool payload = static_cast<bool>(map_payload(st, blk->gpu));
+  auto run = [rs, blk] { g_map_payload(rs, blk); };
   if (!blk->gpu) {
     simdev::CpuTask t = cpu_map_task(spec, blk->slice);
-    if (payload) t.body = [rs, blk] { g_map_payload(rs, blk); };
+    if (payload) attach_map_payload(t, st, run);
     return rs->ctx.node().cpu().submit(std::move(t));
   }
   simdev::Stream& stream = rs->ctx.node().gpu(blk->card).stream(blk->stream);
@@ -230,7 +234,7 @@ sim::Future<sim::Unit> g_map_block(GraphRankState<K, V>* rs,
                       spec.item_bytes);
   }
   simdev::KernelDesc k = gpu_map_kernel(spec, blk->slice);
-  if (payload) k.body = [rs, blk] { g_map_payload(rs, blk); };
+  if (payload) attach_map_payload(k, st, run);
   batch.gpu_items += blk->slice.size();
   return stream.launch(std::move(k));
 }
@@ -260,6 +264,13 @@ sim::Process g_merge(GraphRankState<K, V>* rs, bool bulk_copy_back,
                      sim::Promise<sim::Unit> done) {
   auto& sim = rs->ctx.sim();
   if (bulk_copy_back) {
+    // Every block has completed, so every payload has joined and the
+    // static GPU blocks' pair counts are final (dynamic GPU blocks count
+    // theirs in gpu_block_worker).
+    NodeMapBatch<K, V>& batch = rs->map->batch();
+    for (const GraphBlock<K, V>& blk : rs->blocks) {
+      if (blk.gpu) batch.gpu_pairs += blk.emitter->size();
+    }
     auto d2h = rs->map->copy_back();
     co_await d2h;
   }
@@ -335,16 +346,15 @@ inline sim::Process g_state_broadcast(Cluster* cluster, int rank,
 
 // -- graph builder ------------------------------------------------------------
 
-/// Builds one whole job into `g`, which `exec` will run (payload failures
-/// are recorded there): the per-rank stage spine with the map section the
-/// policy's dispatch mode asks for. `after_per_rank` (when
+/// Builds one whole job into `g`: the per-rank stage spine with the map
+/// section the policy's dispatch mode asks for. `after_per_rank` (when
 /// non-empty) gates each rank's start node on an upstream node — the hook
 /// the pipelined iteration window uses to chain iterations. `name_prefix`
 /// namespaces node names (e.g. "i3:") so windowed graphs stay readable.
 template <typename K, typename V>
 void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
-                     Cluster& cluster, SchedulePolicy* policy,
-                     graph::GraphExecutor* exec, bool overlap, int tag_base,
+                     Cluster& cluster, SchedulePolicy* policy, bool overlap,
+                     int tag_base,
                      const std::vector<graph::NodeId>& after_per_rank,
                      const std::string& name_prefix) {
   auto& sim = cluster.simulator();
@@ -363,7 +373,6 @@ void build_job_graph(graph::TaskGraph& g, GraphJob<K, V>& job,
     rs->ctx.st = st;
     rs->ctx.policy = policy;
     rs->ctx.rank = r;
-    rs->exec = exec;
     rs->tag_base = tag_base;
     if (tr != nullptr) {
       rs->ctx.tr = tr;
@@ -525,7 +534,14 @@ inline void execute_graph(sim::Simulator& sim, graph::GraphExecutor& exec) {
   };
   exec.start();
   try {
-    sim.run();
+    try {
+      sim.run();
+    } catch (const NodeFailure& f) {
+      // A block payload threw: the run stopped at the block's completion
+      // event, so the failure is recorded at that virtual time.
+      exec.fail(f.cause, f.node);
+      std::rethrow_exception(f.cause);
+    }
   } catch (const Error&) {
     throw;  // already carries context (or is a runtime invariant)
   } catch (const std::exception& e) {
@@ -557,7 +573,7 @@ JobResult<K, V> run_job_graph(Cluster& cluster,
   graph::GraphExecutor exec(sim, g);
   const bool overlap = cfg.pipeline_depth > 1 &&
                        policy->dispatch() == SchedulingMode::kStatic;
-  build_job_graph(g, job, cluster, policy, &exec, overlap, /*tag_base=*/0,
+  build_job_graph(g, job, cluster, policy, overlap, /*tag_base=*/0,
                   {}, "");
   if (!cfg.graph_dump_path.empty()) {
     write_graph_dot(g, cfg.graph_dump_path);
@@ -667,7 +683,7 @@ WindowResult<K, V> run_job_window(
     } else if (prev_advance != graph::kNoNode) {
       after.assign(static_cast<std::size_t>(nodes), prev_advance);
     }
-    build_job_graph(g, job, cluster, policy, &exec, /*overlap=*/true,
+    build_job_graph(g, job, cluster, policy, /*overlap=*/true,
                     tag_base, after, prefix);
 
     const graph::NodeId advance = g.add_host(

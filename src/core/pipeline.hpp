@@ -151,6 +151,19 @@ const typename MapReduceSpec<K, V>::MapFn& map_payload(
   return gpu ? spec.gpu_map_or_default() : spec.cpu_map;
 }
 
+/// Attaches `run`, a call of map_payload(st, ...) on one block, to the
+/// block's CPU task or GPU kernel: a functional payload as the `body` the
+/// device runs within the task's start-to-completion window, a modeled
+/// stand-in as the `stand_in` it runs inline at completion.
+template <typename Task, typename K, typename V, typename Run>
+void attach_map_payload(Task& task, const JobState<K, V>& st, Run&& run) {
+  if (st.cfg.mode == ExecutionMode::kFunctional) {
+    task.body = std::forward<Run>(run);
+  } else {
+    task.stand_in = std::forward<Run>(run);
+  }
+}
+
 /// The timed CPU map task for `slice`, without its payload.
 template <typename K, typename V>
 simdev::CpuTask cpu_map_task(const MapReduceSpec<K, V>& spec,
@@ -179,37 +192,31 @@ simdev::KernelDesc gpu_map_kernel(const MapReduceSpec<K, V>& spec,
   return k;
 }
 
-/// Builds the timed CPU map task for `slice` (payload emits into a fresh
-/// emitter owned by `batch`).
+/// Builds the timed CPU map task for `slice`; its payload emits into
+/// `emitter`.
 template <typename K, typename V>
-simdev::CpuTask make_cpu_map_task(const JobState<K, V>& st,
-                                  NodeMapBatch<K, V>& batch,
-                                  InputSlice slice) {
+simdev::CpuTask make_cpu_map_task(const JobState<K, V>& st, InputSlice slice,
+                                  Emitter<K, V>* emitter) {
   simdev::CpuTask t = cpu_map_task(*st.spec, slice);
-  batch.emitters.emplace_back();
-  Emitter<K, V>* emitter = &batch.emitters.back();
   const auto* fn = &map_payload(st, /*gpu=*/false);
   if (*fn) {
-    t.body = [fn, slice, emitter] { (*fn)(slice, *emitter); };
+    attach_map_payload(t, st,
+                       [fn, slice, emitter] { (*fn)(slice, *emitter); });
   }
   return t;
 }
 
-/// Builds the timed GPU map kernel for `slice`.
+/// Builds the timed GPU map kernel for `slice`; its payload emits into
+/// `emitter`.
 template <typename K, typename V>
 simdev::KernelDesc make_gpu_map_kernel(const JobState<K, V>& st,
-                                       NodeMapBatch<K, V>& batch,
-                                       InputSlice slice) {
+                                       InputSlice slice,
+                                       Emitter<K, V>* emitter) {
   simdev::KernelDesc k = gpu_map_kernel(*st.spec, slice);
-  batch.emitters.emplace_back();
-  Emitter<K, V>* emitter = &batch.emitters.back();
-  NodeMapBatch<K, V>* b = &batch;
   const auto* fn = &map_payload(st, /*gpu=*/true);
   if (*fn) {
-    k.body = [fn, slice, emitter, b] {
-      (*fn)(slice, *emitter);
-      b->gpu_pairs += emitter->size();
-    };
+    attach_map_payload(k, st,
+                       [fn, slice, emitter] { (*fn)(slice, *emitter); });
   }
   return k;
 }
@@ -224,7 +231,8 @@ sim::Process cpu_block_worker(JobState<K, V>& st, FatNode& node,
   for (;;) {
     auto b = co_await blocks.recv();
     if (!b) break;
-    simdev::CpuTask t = make_cpu_map_task(st, batch, *b);
+    Emitter<K, V>* emitter = &batch.emitters.emplace_back();
+    simdev::CpuTask t = make_cpu_map_task(st, *b, emitter);
     ++st.map_tasks;
     auto fut = node.cpu().submit(std::move(t));
     co_await fut;
@@ -250,11 +258,14 @@ sim::Process gpu_block_worker(JobState<K, V>& st, FatNode& node,
                                     spec.item_bytes);
       co_await copy;
     }
-    simdev::KernelDesc k = make_gpu_map_kernel(st, batch, *b);
+    Emitter<K, V>* emitter = &batch.emitters.emplace_back();
+    simdev::KernelDesc k = make_gpu_map_kernel(st, *b, emitter);
     batch.gpu_items += b->size();
     ++st.map_tasks;
     auto fut = stream.launch(std::move(k));
     co_await fut;
+    // The payload has joined: its pairs are final.
+    batch.gpu_pairs += emitter->size();
   }
   if (--*live == 0) all_done.set_value(sim::Unit{});
 }

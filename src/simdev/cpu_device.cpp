@@ -76,6 +76,10 @@ sim::Process CpuDevice::task_worker(CpuTask task,
       co_return;
     }
   }
+  // The payload's window opens: it may run from here to the completion.
+  const sim::PayloadQueue::Ticket payload =
+      !fault.fail && task.body ? sim_.payloads().defer(std::move(task.body))
+                               : nullptr;
   const double t = task_duration(task) * fault.slowdown;
   obs::TraceRecorder* tr = sim_.tracer();
   const int lane =
@@ -100,7 +104,8 @@ sim::Process CpuDevice::task_worker(CpuTask task,
     // skipped, and the caller learns about it through the failed-flag.
     if (task.failed != nullptr) *task.failed = true;
   } else {
-    if (task.body) task.body();
+    sim_.payloads().join(payload);
+    if (task.stand_in) task.stand_in();
   }
   done.set_value(sim::Unit{});
 }

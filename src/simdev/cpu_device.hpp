@@ -33,10 +33,19 @@ struct CpuTask {
   double compute_efficiency = 1.0;
   /// Fraction of per-core DRAM bandwidth attained.
   double memory_efficiency = 1.0;
-  /// Functional payload; runs at task completion time.
+  /// Functional payload. It runs on a host thread at some point between
+  /// the task's start (core held) and its completion, possibly in one
+  /// pool region with other in-flight tasks' payloads; the completion
+  /// waits for it and rethrows its exception (simtime/payload_queue.hpp).
+  /// It must read only inputs frozen over that window, write only its own
+  /// outputs, and never touch the simulator.
   std::function<void()> body;
+  /// Modeled stand-in for a payload (placeholder emits, no real work):
+  /// runs inline on the simulator thread at task completion.
+  std::function<void()> stand_in = nullptr;
   /// Optional out-flag set to true when fault injection fails this task
-  /// (the body is then skipped but the completion future still resolves).
+  /// (body and stand-in are then skipped but the completion future still
+  /// resolves).
   bool* failed = nullptr;
 };
 

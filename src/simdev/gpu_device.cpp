@@ -202,10 +202,16 @@ sim::Process GpuDevice::stream_worker(Stream& stream) {
       case Stream::Command::Type::kKernel: {
         co_await compute_engine_.acquire();
         sim::ResourceGuard engine(compute_engine_, 1);
-        const double t = kernel_duration((*cmd)->kernel) * fault.slowdown;
+        // The payload's window opens: it may run from here to completion.
+        KernelDesc& kernel = (*cmd)->kernel;
+        const sim::PayloadQueue::Ticket payload =
+            !fault.fail && kernel.body
+                ? sim_.payloads().defer(std::move(kernel.body))
+                : nullptr;
+        const double t = kernel_duration(kernel) * fault.slowdown;
         co_await sim::delay(sim_, t);
         compute_busy_ += t;
-        flops_executed_ += (*cmd)->kernel.workload.flops;
+        flops_executed_ += kernel.workload.flops;
         ++kernels_launched_;
         if (tr != nullptr) {
           // Span covers execution only (compute-engine occupancy), not the
@@ -213,9 +219,9 @@ sim::Process GpuDevice::stream_worker(Stream& stream) {
           tr->complete(
               tr->track(trace_process_,
                         trace_gpu_label_ + ".s" + std::to_string(stream_id)),
-              (*cmd)->kernel.name, "kernel", sim_.now() - t, sim_.now(),
-              {obs::arg("flops", (*cmd)->kernel.workload.flops),
-               obs::arg("bytes", (*cmd)->kernel.workload.mem_traffic)});
+              kernel.name, "kernel", sim_.now() - t, sim_.now(),
+              {obs::arg("flops", kernel.workload.flops),
+               obs::arg("bytes", kernel.workload.mem_traffic)});
           tr->metrics().counter("gpu.kernels").increment();
           tr->metrics()
               .histogram("gpu.kernel_seconds",
@@ -224,9 +230,10 @@ sim::Process GpuDevice::stream_worker(Stream& stream) {
         }
         if (fault.fail) {
           // Transient kernel failure: time charged, payload skipped.
-          if ((*cmd)->kernel.failed != nullptr) *(*cmd)->kernel.failed = true;
+          if (kernel.failed != nullptr) *kernel.failed = true;
         } else {
-          if ((*cmd)->kernel.body) (*cmd)->kernel.body();
+          sim_.payloads().join(payload);
+          if (kernel.stand_in) kernel.stand_in();
         }
         break;
       }

@@ -44,11 +44,19 @@ struct KernelDesc {
   double compute_efficiency = 1.0;
   /// Fraction of the device's DRAM bandwidth this kernel attains.
   double memory_efficiency = 1.0;
-  /// Host-executed functional payload producing the kernel's real results;
-  /// runs at kernel completion time. May be empty in modeled-only benches.
+  /// Host-executed functional payload producing the kernel's real results.
+  /// It runs on a host thread at some point between the kernel's start
+  /// (compute engine held) and its completion, possibly in one pool region
+  /// with other in-flight payloads; the completion waits for it and
+  /// rethrows its exception (simtime/payload_queue.hpp). Same contract as
+  /// CpuTask::body. May be empty in modeled-only benches.
   std::function<void()> body;
+  /// Modeled stand-in for a payload: runs inline on the simulator thread
+  /// at kernel completion.
+  std::function<void()> stand_in = nullptr;
   /// Optional out-flag set to true when fault injection fails this kernel
-  /// (the body is then skipped but the completion future still resolves).
+  /// (body and stand-in are then skipped but the completion future still
+  /// resolves).
   bool* failed = nullptr;
 };
 

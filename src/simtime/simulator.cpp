@@ -7,6 +7,10 @@
 namespace prs::sim {
 
 Simulator::~Simulator() {
+  // Payloads of tasks that will never complete are dropped unrun; their
+  // captures go when the suspended device workers holding the tickets are
+  // destroyed below, as if the payloads had never been queued.
+  payloads_.clear();
   // Pending events may hold coroutine handles whose frames were retired or
   // will never run; frames retired but not yet drained must still be freed.
   drain_zombies();

@@ -9,7 +9,10 @@
 // Concurrency model: single-threaded. "Processes" are C++20 coroutines
 // (see process.hpp) resumed by the event loop; there is no data race by
 // construction, which mirrors how the paper's runtime is *reasoned about*
-// while keeping the reproduction hardware-independent.
+// while keeping the reproduction hardware-independent. The one exception
+// is the functional payloads of device tasks: they may run on the host
+// pool between their task's start and completion (payload_queue.hpp), and
+// touch no simulator state while they do.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "simtime/payload_queue.hpp"
 
 namespace prs::obs {
 class TraceRecorder;  // defined in obs/trace.hpp (layered above simtime)
@@ -75,6 +79,11 @@ class Simulator {
   obs::TraceRecorder* tracer() const { return tracer_; }
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
 
+  /// Functional payloads of the device tasks in flight on this simulator
+  /// (payload_queue.hpp): deferred at each task's start, joined at its
+  /// completion.
+  PayloadQueue& payloads() { return payloads_; }
+
   // -- internal: used by process/future machinery ---------------------------
 
   /// Takes ownership of a finished coroutine frame; destroyed after the
@@ -116,6 +125,7 @@ class Simulator {
   // ~Simulator destroys them so they cannot leak.
   std::vector<void*> live_;
   std::exception_ptr pending_exception_;
+  PayloadQueue payloads_;
 };
 
 }  // namespace prs::sim

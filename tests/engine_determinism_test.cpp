@@ -5,11 +5,17 @@
 // iteration windows change the *timing* but may not change a single
 // result byte) — across host-pool thread counts.
 //
+// A second sweep pins digest AND virtual time of every app at host threads
+// {1, 2, 4} x pipeline depth {1, 4} x static/dynamic dispatch: functional
+// payloads run on the host pool somewhere between their task's start and
+// completion, and where exactly may never show in a result or a clock.
+//
 // Digests come from svc::run_job_spec, the same canonical FNV-1a result
 // digest prs_run and the job server print, so any regression caught here
 // is exactly a user-visible result change.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -67,10 +73,8 @@ const std::map<std::string, std::string>& pinned_digests() {
   return pins;
 }
 
-std::string run_digest(const std::string& app, int depth, int threads) {
+svc::LaunchOutcome run_spec(svc::JobSpec spec, int threads) {
   exec::ThreadPool::instance().configure(threads);
-  svc::JobSpec spec = app_spec(app);
-  spec.pipeline_depth = depth;
   spec.validate();
   sim::Simulator simu;
   const core::NodeConfig node = spec.node_config();
@@ -79,10 +83,16 @@ std::string run_digest(const std::string& app, int depth, int threads) {
   auto policy = core::make_policy(spec.policy);
   cfg.policy = policy.get();
   Rng rng(spec.seed);
-  const svc::LaunchOutcome out =
+  svc::LaunchOutcome out =
       svc::run_job_spec(spec, cluster, node, cfg, rng, nullptr);
-  EXPECT_FALSE(out.digest.empty()) << app << " produced no digest";
-  return out.digest;
+  EXPECT_FALSE(out.digest.empty()) << spec.app << " produced no digest";
+  return out;
+}
+
+std::string run_digest(const std::string& app, int depth, int threads) {
+  svc::JobSpec spec = app_spec(app);
+  spec.pipeline_depth = depth;
+  return run_spec(spec, threads).digest;
 }
 
 class EngineDeterminism : public ::testing::TestWithParam<const char*> {};
@@ -106,6 +116,87 @@ TEST_P(EngineDeterminism, GraphMatchesStagesAcrossDepthsAndThreads) {
     EXPECT_EQ(run_digest(app, depth, 3), at_one_thread)
         << app << " depth=" << depth << " digest depends on thread count";
   }
+}
+
+/// One (digest, virtual time) pin per app x pipeline depth x policy,
+/// recorded before device payloads ran between their task's start and
+/// completion: where a payload runs on the host may not move a result
+/// byte or a virtual second.
+struct Pin {
+  const char* digest;
+  double elapsed;
+};
+
+const std::map<std::string, Pin>& pinned_runs() {
+  static const std::map<std::string, Pin> pins = {
+      {"cmeans/static/d1", {"de9498a2752edda5", 1.2068020134119752}},
+      {"cmeans/static/d4", {"de9498a2752edda5", 1.2068010185028841}},
+      {"cmeans/dynamic/d1", {"8a978ed87801203d", 1.2074931970289722}},
+      {"kmeans/static/d1", {"d577cc8d98d6d9f2", 1.2068007025719796}},
+      {"kmeans/static/d4", {"d577cc8d98d6d9f2", 1.2068003512992531}},
+      {"kmeans/dynamic/d1", {"87e336df13bcc3d5", 1.2074930397967307}},
+      {"gmm/static/d1", {"703897dae037855e", 1.2068054607556635}},
+      {"gmm/static/d4", {"703897dae037855e", 1.2068042083920276}},
+      {"gmm/dynamic/d1", {"8776db97479d9f75", 1.2074968820776442}},
+      {"gemv/static/d1", {"2e2da806987a60a8", 1.2016933484446151}},
+      {"gemv/static/d4", {"2e2da806987a60a8", 1.2016933484446151}},
+      {"gemv/dynamic/d1", {"2e2da806987a60a8", 1.2013924467361023}},
+      {"dgemm/static/d1", {"a6c2dd578bfdf0f3", 1.201682422766243}},
+      {"dgemm/static/d4", {"a6c2dd578bfdf0f3", 1.2016823136753341}},
+      {"dgemm/dynamic/d1", {"a6c2dd578bfdf0f3", 1.2012378417245746}},
+      {"fft/static/d1", {"afc039769dc48a31", 1.2017028278324404}},
+      {"fft/static/d4", {"13137db549070281", 1.2017026532869859}},
+      {"fft/dynamic/d1", {"2c14a8695b4ed784", 1.201289719627584}},
+      {"wordcount/static/d1", {"ff2126bc8e56f40a", 1.2019610994109706}},
+      {"wordcount/static/d4", {"ff2126bc8e56f40a", 1.2019609876352131}},
+      {"wordcount/dynamic/d1", {"ff2126bc8e56f40a", 1.2019636016597952}},
+      {"stencil/static/d1", {"fd1284ed68020988", 1.2102348049433489}},
+      {"stencil/static/d4", {"fd1284ed68020988", 0.0003650304000000001}},
+      {"stencil/dynamic/d1", {"fd1284ed68020988", 1.2076183995509926}},
+  };
+  return pins;
+}
+
+TEST_P(EngineDeterminism, PinnedAcrossThreadsDepthsAndPolicies) {
+  const std::string app = GetParam();
+  // Dynamic dispatch runs at depth 1 only: deeper pipelines need a
+  // static-dispatch policy (JobSpec::validate rejects the rest).
+  for (const char* policy : {"static", "dynamic"}) {
+    for (const int depth : {1, 4}) {
+      if (std::string(policy) == "dynamic" && depth > 1) continue;
+      const std::string key =
+          app + "/" + policy + "/d" + std::to_string(depth);
+      const auto pin = pinned_runs().find(key);
+      ASSERT_NE(pin, pinned_runs().end()) << "no pin for " << key;
+      for (const int threads : {1, 2, 4}) {
+        svc::JobSpec spec = app_spec(app);
+        spec.policy = policy;
+        spec.pipeline_depth = depth;
+        const svc::LaunchOutcome out = run_spec(spec, threads);
+        EXPECT_EQ(out.digest, pin->second.digest)
+            << key << " digest at " << threads << " host threads";
+        EXPECT_EQ(out.stats.elapsed, pin->second.elapsed)
+            << key << " virtual time at " << threads << " host threads";
+      }
+    }
+  }
+}
+
+// Map payloads of blocks in flight together run together: a wave of
+// started blocks shares one pool region instead of opening one per block.
+TEST(PayloadBatching, WordcountOpensFarFewerPoolRegionsThanMapTasks) {
+  svc::JobSpec spec = app_spec("wordcount");
+  spec.points = 20000;  // corpus lines
+  auto& pool = exec::ThreadPool::instance();
+  pool.configure(4);  // stats survive run_spec's configure(4)
+  const exec::PoolStats before = pool.stats();
+  const svc::LaunchOutcome out = run_spec(spec, 4);
+  const exec::PoolStats after = pool.stats();
+  const std::uint64_t regions = after.jobs - before.jobs;
+  ASSERT_GT(out.stats.map_tasks, 0u);
+  EXPECT_LE(10 * regions, out.stats.map_tasks)
+      << regions << " pool regions for " << out.stats.map_tasks
+      << " map tasks";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, EngineDeterminism,

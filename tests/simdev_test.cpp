@@ -1,11 +1,18 @@
 // Unit tests for the device models: spec factories, workload algebra, the
-// region allocator, GPU streams/copy/kernel timing, and the CPU core pool.
+// region allocator, GPU streams/copy/kernel timing, the CPU core pool, and
+// the deferred functional payloads of in-flight tasks.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/units.hpp"
+#include "exec/parallel.hpp"
+#include "exec/thread_pool.hpp"
 #include "simdev/cpu_device.hpp"
 #include "simdev/device_spec.hpp"
 #include "simdev/gpu_device.hpp"
@@ -388,6 +395,188 @@ TEST(CpuDevice, PayloadRunsOnCompletion) {
       CpuTask{"t", Workload{100, 0, 0, 1}, 1.0, 1.0, [&] { x = 7; }}, done));
   sim.run();
   EXPECT_EQ(x, 7);
+}
+
+// -- Deferred payloads ------------------------------------------------------------
+// A task's functional payload runs somewhere between the task's start and
+// its completion: bodies in flight together run together in one pool region
+// (simtime/payload_queue.hpp).
+
+/// Pins the host pool to `n` threads for one test, restoring the default.
+class PoolThreads {
+ public:
+  explicit PoolThreads(int n) { exec::ThreadPool::instance().configure(n); }
+  ~PoolThreads() { exec::ThreadPool::instance().configure(0); }
+  PoolThreads(const PoolThreads&) = delete;
+  PoolThreads& operator=(const PoolThreads&) = delete;
+};
+
+/// Fault hook handing out a fixed verdict sequence, then healthy runs.
+class ScriptedFaults : public ExecFaultHook {
+ public:
+  explicit ScriptedFaults(std::vector<ExecFault> script)
+      : script_(std::move(script)) {}
+  ExecFault on_task(const ExecSite&) override {
+    if (next_ >= script_.size()) return ExecFault{};
+    return script_[next_++];
+  }
+
+ private:
+  std::vector<ExecFault> script_;
+  std::size_t next_ = 0;
+};
+
+ExecFault failing() {
+  ExecFault f;
+  f.fail = true;
+  return f;
+}
+
+ExecFault hanging() {
+  ExecFault f;
+  f.hang = true;
+  return f;
+}
+
+TEST(DeferredPayload, SameStartCpuBodiesRunInOnePoolRegion) {
+  const PoolThreads threads(4);
+  auto& pool = exec::ThreadPool::instance();
+  Simulator sim;
+  CpuDevice cpu(sim, test_cpu());
+  std::atomic<int> ran{0};
+  std::atomic<int> in_region{0};
+  std::vector<double> done;
+  for (int i = 0; i < 4; ++i) {
+    CpuTask t{"t", Workload{100, 0, 0, 1}, 1.0, 1.0, [&] {
+                ++ran;
+                if (exec::ThreadPool::in_parallel_region()) ++in_region;
+              }};
+    sim.spawn(run_cpu_task(sim, cpu, std::move(t), done));
+  }
+  const exec::PoolStats before = pool.stats();
+  sim.run();
+  const exec::PoolStats after = pool.stats();
+  EXPECT_EQ(ran.load(), 4);
+  EXPECT_EQ(in_region.load(), 4);
+  EXPECT_EQ(after.jobs - before.jobs, 1u);      // one region for the wave
+  EXPECT_EQ(after.chunks - before.chunks, 4u);  // one chunk per body
+  ASSERT_EQ(done.size(), 4u);
+  for (const double t : done) EXPECT_DOUBLE_EQ(t, 1.0);  // timing unmoved
+  EXPECT_EQ(sim.payloads().pending(), 0u);
+}
+
+TEST(DeferredPayload, LoneBodyKeepsThePoolForItsOwnLoops) {
+  const PoolThreads threads(4);
+  auto& pool = exec::ThreadPool::instance();
+  Simulator sim;
+  CpuDevice cpu(sim, test_cpu());
+  bool top_level = false;
+  std::vector<int> out(64, 0);
+  std::vector<double> done;
+  CpuTask t{"t", Workload{100, 0, 0, 1}, 1.0, 1.0, [&] {
+              top_level = !exec::ThreadPool::in_parallel_region();
+              exec::parallel_for(0, out.size(), 8,
+                                 [&](std::size_t b, std::size_t e) {
+                                   for (std::size_t i = b; i < e; ++i) {
+                                     out[i] = static_cast<int>(i);
+                                   }
+                                 });
+            }};
+  sim.spawn(run_cpu_task(sim, cpu, std::move(t), done));
+  const exec::PoolStats before = pool.stats();
+  sim.run();
+  const exec::PoolStats after = pool.stats();
+  EXPECT_TRUE(top_level);
+  // The body's own loop is the only region, and a top-level one.
+  EXPECT_EQ(after.jobs - before.jobs, 1u);
+  EXPECT_EQ(after.nested_jobs - before.nested_jobs, 0u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], static_cast<int>(i));
+  }
+}
+
+TEST(DeferredPayload, ThrowSurfacesAtItsOwnCompletionNotASiblings) {
+  const PoolThreads threads(4);
+  Simulator sim;
+  CpuDevice cpu(sim, test_cpu());
+  std::vector<int> sibling_out;
+  std::vector<double> done;
+  // Both start at t=0, so the sibling's join at t=1 runs both bodies.
+  CpuTask sibling{"ok", Workload{100, 0, 0, 1}, 1.0, 1.0, [&] {
+                    for (int i = 0; i < 100; ++i) sibling_out.push_back(i);
+                  }};
+  CpuTask thrower{"bad", Workload{300, 0, 0, 1}, 1.0, 1.0,
+                  [] { throw std::runtime_error("payload boom"); }};
+  sim.spawn(run_cpu_task(sim, cpu, std::move(sibling), done));
+  sim.spawn(run_cpu_task(sim, cpu, std::move(thrower), done));
+  try {
+    sim.run();
+    FAIL() << "the throwing payload did not surface";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "payload boom");
+  }
+  // Surfaced at the thrower's completion (t=3), after the sibling
+  // completed normally at t=1 with its whole output.
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_DOUBLE_EQ(done[0], 1.0);
+  ASSERT_EQ(sibling_out.size(), 100u);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(sibling_out[static_cast<std::size_t>(i)], i);
+  }
+}
+
+TEST(DeferredPayload, FailedAndHungTasksNeverRunTheirBody) {
+  const PoolThreads threads(4);
+  Simulator sim;
+  CpuDevice cpu(sim, test_cpu());
+  GpuDevice gpu(sim, test_gpu());
+  ScriptedFaults cpu_faults({failing(), hanging()});
+  ScriptedFaults gpu_faults({failing(), hanging()});
+  cpu.set_fault_context(&cpu_faults, 0);
+  gpu.set_fault_context(&gpu_faults, 0, 0);
+  std::atomic<int> cpu_ran{0};
+  std::atomic<int> gpu_ran{0};
+  bool cpu_failed = false;
+  bool gpu_failed = false;
+  std::vector<double> done;
+  for (int i = 0; i < 3; ++i) {
+    CpuTask t{"t", Workload{100, 0, 0, 1}, 1.0, 1.0, [&] { ++cpu_ran; }};
+    if (i == 0) t.failed = &cpu_failed;
+    sim.spawn(run_cpu_task(sim, cpu, std::move(t), done));
+  }
+  // Kernel 0 fails; kernel 1 hangs its stream. Kernel 2 is healthy on a
+  // stream of its own.
+  for (int i = 0; i < 3; ++i) {
+    KernelDesc k{"k", Workload{100, 0, 0, 1}, 1.0, 1.0, [&] { ++gpu_ran; }};
+    if (i == 0) k.failed = &gpu_failed;
+    gpu.stream(i).launch(std::move(k));
+  }
+  sim.run();
+  EXPECT_TRUE(cpu_failed);
+  EXPECT_TRUE(gpu_failed);
+  EXPECT_EQ(cpu_ran.load(), 1);  // only the healthy task
+  EXPECT_EQ(gpu_ran.load(), 1);  // only the healthy kernel
+  EXPECT_EQ(done.size(), 2u);    // the hung task never completes
+  EXPECT_EQ(sim.payloads().pending(), 0u);  // nothing was left queued
+}
+
+TEST(DeferredPayload, PendingBodiesAreDroppedAtTeardown) {
+  auto capture = std::make_shared<int>(0);
+  bool ran = false;
+  {
+    Simulator sim;
+    CpuDevice cpu(sim, test_cpu());
+    std::vector<double> done;
+    CpuTask t{"t", Workload{1000, 0, 0, 1}, 1.0, 1.0,
+              [&ran, capture] { ran = true; }};
+    sim.spawn(run_cpu_task(sim, cpu, std::move(t), done));
+    sim.run_until(5.0);  // started at 0, completes at 10: still in flight
+    EXPECT_EQ(sim.payloads().pending(), 1u);
+    EXPECT_FALSE(ran);
+  }
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(capture.use_count(), 1);  // the body's captures were released
 }
 
 TEST(CpuDevice, RejectsGpuSpec) {
