@@ -1,5 +1,6 @@
 #include "apps/wordcount.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <string_view>
 #include <vector>
@@ -7,6 +8,7 @@
 #include "common/error.hpp"
 #include "core/calibration.hpp"
 #include "core/kv_store.hpp"
+#include "data/dataset.hpp"
 #include "exec/parallel.hpp"
 
 namespace prs::apps {
@@ -60,6 +62,9 @@ struct ShapeCounts {
   std::size_t word_bytes = 0;
 };
 
+/// Lines per generate_corpus chunk.
+constexpr std::size_t kCorpusGrain = 1024;
+
 /// Host-pool grain for measure(): lines per chunk.
 constexpr std::size_t kMeasureGrain = 4096;
 
@@ -102,20 +107,37 @@ CorpusShape measure(const Corpus& corpus) {
 Corpus generate_corpus(Rng& rng, std::size_t lines,
                        std::size_t words_per_line, std::size_t vocabulary) {
   PRS_REQUIRE(vocabulary >= 1, "vocabulary must be non-empty");
-  Corpus corpus;
-  corpus.reserve(lines);
-  for (std::size_t i = 0; i < lines; ++i) {
-    std::string line;
-    for (std::size_t w = 0; w < words_per_line; ++w) {
-      // Zipf-ish: squared uniform biases toward low word ids.
-      const double u = rng.uniform();
-      const auto id =
-          static_cast<std::size_t>(u * u * static_cast<double>(vocabulary));
-      if (w > 0) line += ' ';
-      line += "word" + std::to_string(std::min(id, vocabulary - 1));
-    }
-    corpus.push_back(std::move(line));
-  }
+  Corpus corpus(lines);
+  // "word" + the decimal id, at most as long as the largest id's.
+  char digits[20];
+  const std::size_t max_word =
+      4 + static_cast<std::size_t>(
+              std::to_chars(digits, digits + sizeof digits, vocabulary - 1).ptr -
+              digits);
+  // Line i draws words_per_line uniforms; each lane builds (and first
+  // touches) the strings of its own chunks.
+  data::generate_chunked(
+      rng, lines, kCorpusGrain, words_per_line,
+      [&](Rng& r, std::size_t b, std::size_t e) {
+        char id_text[20];
+        for (std::size_t i = b; i < e; ++i) {
+          std::string& line = corpus[i];
+          line.reserve(words_per_line * (max_word + 1));
+          for (std::size_t w = 0; w < words_per_line; ++w) {
+            // Zipf-ish: squared uniform biases toward low word ids.
+            const double u = r.uniform();
+            const auto id = static_cast<std::size_t>(
+                u * u * static_cast<double>(vocabulary));
+            if (w > 0) line += ' ';
+            line += "word";
+            const char* const end =
+                std::to_chars(id_text, id_text + sizeof id_text,
+                              std::min(id, vocabulary - 1))
+                    .ptr;
+            line.append(id_text, static_cast<std::size_t>(end - id_text));
+          }
+        }
+      });
   return corpus;
 }
 

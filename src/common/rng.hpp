@@ -5,6 +5,7 @@
 // test, example, and bench is bit-reproducible from a seed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -31,14 +32,26 @@ class SplitMix64 {
 class Rng {
  public:
   using result_type = std::uint64_t;
+  using State = std::array<std::uint64_t, 4>;
 
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
+
+  /// An engine at exactly `state` with no cached normal. Requires a
+  /// nonzero state.
+  static Rng from_state(const State& state);
+
+  /// The engine's four state words (the cached normal is not included).
+  State state() const { return {s_[0], s_[1], s_[2], s_[3]}; }
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ull; }
   result_type operator()() { return next(); }
 
   std::uint64_t next();
+
+  /// Jumps the engine ahead in O(log n): equal to n calls of next(). The
+  /// cached normal, which next() never touches, is kept.
+  void advance(std::uint64_t n);
 
   /// Uniform double in [0, 1).
   double uniform();
@@ -58,6 +71,10 @@ class Rng {
   /// Derives an independent child stream; children with distinct salts are
   /// statistically independent of the parent and of each other.
   Rng split(std::uint64_t salt) const;
+
+  /// Same engine state and same pending cached normal: the two produce
+  /// identical draws from here on.
+  friend bool operator==(const Rng& a, const Rng& b);
 
   /// Fisher–Yates shuffle of an index vector.
   template <typename T>

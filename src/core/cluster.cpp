@@ -40,6 +40,9 @@ Cluster::Cluster(sim::Simulator& sim, std::vector<NodeConfig> node_configs,
 }
 
 Cluster::~Cluster() {
+  // Suspended device workers and supervisors reference the nodes and
+  // fabric about to be freed: destroy their frames first.
+  sim_.shutdown();
   if (env_tracer_ == nullptr) return;
   try {
     obs::export_chrome_trace(*env_tracer_, env_trace_path_ + ".json");

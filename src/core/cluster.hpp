@@ -41,7 +41,9 @@ class Cluster {
   Cluster(sim::Simulator& sim, std::vector<NodeConfig> node_configs)
       : Cluster(sim, std::move(node_configs), default_fabric_spec()) {}
 
-  /// Exports the PRS_TRACE_DIR-owned trace, if any (see below).
+  /// Shuts the simulator down (its suspended processes reference this
+  /// cluster's nodes), then exports the PRS_TRACE_DIR-owned trace, if any
+  /// (see below).
   ~Cluster();
 
   int size() const { return static_cast<int>(nodes_.size()); }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -52,5 +53,21 @@ linalg::MatrixD random_matrix(Rng& rng, std::size_t rows, std::size_t cols,
 /// Uniform random vector.
 std::vector<double> random_vector(Rng& rng, std::size_t n, double lo = -1.0,
                                   double hi = 1.0);
+
+/// Fills items [b, e) drawing from `rng` in item order.
+using ChunkFill = std::function<void(Rng& rng, std::size_t b, std::size_t e)>;
+
+/// Runs fill(rng, 0, n) as fixed chunks of `grain` items on the host pool,
+/// with the same output and the same end state of `rng` (DESIGN.md
+/// "Generator determinism"). Chunk c starts from `rng` advanced by
+/// c * grain * draws_per_item draws. From the first chunk whose end state
+/// is not the next chunk's start (a rejected normal draw, or a cached
+/// normal at the boundary), the rest is filled serially, so only speed
+/// depends on `fill` making exactly draws_per_item draws per item.
+void generate_chunked(Rng& rng, std::size_t n, std::size_t grain,
+                      std::uint64_t draws_per_item, const ChunkFill& fill);
+
+/// Points per chunk of sample_gaussian_mixture in `d` dimensions (even).
+std::size_t mixture_grain(std::size_t d);
 
 }  // namespace prs::data

@@ -21,23 +21,20 @@ class PrefaultJob : public detail::ParallelJob {
   void run_chunk(std::size_t chunk) override {
     for (const numa::PrefaultExtent& e : plan_) {
       if (static_cast<std::size_t>(e.lane) != chunk) continue;
+      // Volatile reads cannot be elided. Their values are dropped: a
+      // shared sink written by every lane would be a data race.
       const volatile unsigned char* p = base_;
-      unsigned char sink = 0;
       for (std::size_t b = e.begin; b < e.end;
            b += numa::kPrefaultPageBytes) {
-        sink = static_cast<unsigned char>(sink + p[b]);
+        (void)p[b];
       }
-      if (e.end > e.begin) {
-        sink = static_cast<unsigned char>(sink + p[e.end - 1]);
-      }
-      sink_ = sink;  // volatile reads cannot be elided; keep sink anyway
+      if (e.end > e.begin) (void)p[e.end - 1];
     }
   }
 
  private:
   const unsigned char* base_;
   std::vector<numa::PrefaultExtent> plan_;
-  volatile unsigned char sink_ = 0;
 };
 
 }  // namespace

@@ -68,6 +68,12 @@ TraceArg arg(std::string key, const std::string& value) {
   return {std::move(key), quote_json(value)};
 }
 
+TraceRecorder::~TraceRecorder() {
+  if (sim_.tracer() != this) return;
+  sim_.shutdown();
+  sim_.set_tracer(nullptr);
+}
+
 TrackId TraceRecorder::track(const std::string& process,
                              const std::string& thread) {
   auto key = std::make_pair(process, thread);

@@ -80,6 +80,9 @@ struct TraceTrack {
 class TraceRecorder {
  public:
   explicit TraceRecorder(sim::Simulator& sim) : sim_(sim) {}
+  /// While attached, shuts the simulator down first: spans held by its
+  /// suspended processes close into this recorder on the way out.
+  ~TraceRecorder();
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 

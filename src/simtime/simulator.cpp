@@ -6,7 +6,8 @@
 
 namespace prs::sim {
 
-Simulator::~Simulator() {
+void Simulator::shutdown() {
+  shut_down_ = true;
   // Payloads of tasks that will never complete are dropped unrun; their
   // captures go when the suspended device workers holding the tickets are
   // destroyed below, as if the payloads had never been queued.
@@ -24,6 +25,8 @@ Simulator::~Simulator() {
     std::coroutine_handle<>::from_address(*it).destroy();
   }
   drain_zombies();
+  // Events left may resume the frames just destroyed.
+  queue_ = {};
 }
 
 void Simulator::schedule_at(Time t, std::function<void()> fn) {
@@ -37,6 +40,7 @@ void Simulator::schedule_after(Time dt, std::function<void()> fn) {
 }
 
 void Simulator::spawn(Process process) {
+  PRS_CHECK(!shut_down_, "spawn on a simulator that was shut down");
   Process::Handle h = process.release();
   PRS_CHECK(h, "spawn of an empty process");
   h.promise().sim = this;

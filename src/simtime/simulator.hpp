@@ -38,9 +38,18 @@ class Process;  // defined in process.hpp
 class Simulator {
  public:
   Simulator() = default;
-  ~Simulator();
+  ~Simulator() { shutdown(); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
+
+  /// Tears the simulation down: drops queued payloads and pending events
+  /// and destroys every process frame still suspended, in reverse spawn
+  /// order (their locals' destructors run; nothing is resumed). Owners of
+  /// state those frames reference call it before that state dies — a
+  /// Cluster its nodes, an attached TraceRecorder itself — so the order in
+  /// which they and the simulator are declared does not matter.
+  /// Idempotent; nothing may be spawned afterwards.
+  void shutdown();
 
   /// Current virtual time.
   Time now() const { return now_; }
@@ -122,8 +131,9 @@ class Simulator {
   std::vector<void*> zombies_;
   // Frames of spawned processes that have not finished yet, in spawn order
   // (deterministic teardown). Mostly eternal daemons waiting on a channel;
-  // ~Simulator destroys them so they cannot leak.
+  // shutdown() destroys them so they cannot leak.
   std::vector<void*> live_;
+  bool shut_down_ = false;
   std::exception_ptr pending_exception_;
   PayloadQueue payloads_;
 };

@@ -486,7 +486,7 @@ TEST_F(SimdTest, GemmBlockedTilesAreByteIdenticalAcrossThreadsAndLevels) {
         }
         // Deterministic tier: one reference for every level; FMA tier:
         // one reference per level (the fused kernel is level-specific).
-        std::vector<double> tier_ref;
+        linalg::MatrixD::Storage tier_ref;
         for (const simd::Level level : supported_levels()) {
           simd::set_level(level);
           linalg::MatrixD want = c0;

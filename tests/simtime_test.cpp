@@ -622,5 +622,24 @@ TEST(Simulator, DestroysLiveDaemonFramesAtTeardown) {
   EXPECT_EQ(destroyed, 1);
 }
 
+TEST(Simulator, ShutdownIsAnExplicitIdempotentTeardown) {
+  int destroyed = 0;
+  Simulator sim;
+  Channel<int> ch(sim);
+  sim.spawn(eternal_daemon(ch, &destroyed));
+  sim.spawn(send_without_closing(sim, ch, 3));
+  sim.run_until(0.15);  // the sender is still waiting on its next delay
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.live_processes(), 2u);
+
+  sim.shutdown();
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(sim.live_processes(), 0u);
+  EXPECT_TRUE(sim.idle());  // no event is left to resume a destroyed frame
+  sim.shutdown();
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_THROW(sim.spawn(eternal_daemon(ch, &destroyed)), Error);
+}
+
 }  // namespace
 }  // namespace prs::sim

@@ -19,7 +19,6 @@
 // svc::run_job_spec dispatch, so digests are byte-identical).
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "common/rng.hpp"
@@ -122,12 +121,8 @@ int run(const tools::Options& opt) {
     std::printf("numa                %s | %s\n", opt.numa.c_str(),
                 numa::active_topology().summary().c_str());
   }
-  // The recorder outlives the simulator: tearing the simulator down
-  // destroys the supervisors a crashed node left suspended, and their job
-  // spans close on the way out.
-  std::optional<obs::TraceRecorder> recorder;
   sim::Simulator sim;
-  obs::TraceRecorder& tracer = recorder.emplace(sim);
+  obs::TraceRecorder tracer(sim);
   const bool observing = !opt.trace_path.empty() || !opt.metrics_path.empty();
   if (observing) sim.set_tracer(&tracer);
 
