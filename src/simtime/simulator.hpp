@@ -83,8 +83,8 @@ class Simulator {
 
   /// Observability hook: the attached trace recorder, or nullptr (default).
   /// Instrumented layers fetch this per operation, so tracing costs one
-  /// branch when disabled. The recorder must outlive its attachment; it is
-  /// not owned by the simulator.
+  /// branch when disabled. The recorder is not owned by the simulator; an
+  /// attached recorder shuts the simulator down and detaches when it dies.
   obs::TraceRecorder* tracer() const { return tracer_; }
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
 
