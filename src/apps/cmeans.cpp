@@ -252,10 +252,8 @@ CmeansSpec cmeans_spec(std::shared_ptr<CmeansState> state,
   // cpu_map.
   spec.modeled_map = [state](const core::InputSlice&,
                              core::Emitter<int, std::vector<double>>& e) {
-    const std::size_t m = state->centers.rows();
-    const std::size_t d = state->centers.cols();
-    for (std::size_t j = 0; j < m; ++j) {
-      e.emit(static_cast<int>(j), std::vector<double>(d + 2, 0.0));
+    for (std::size_t j = 0; j < state->centers.rows(); ++j) {
+      e.emit(static_cast<int>(j), {});
     }
   };
   spec.combine = [](const std::vector<double>& a,

@@ -54,7 +54,7 @@ DgemmSpec dgemm_spec(std::shared_ptr<DgemmState> state, std::size_t k,
   };
   spec.modeled_map = [](const core::InputSlice& s,
                         core::Emitter<long, linalg::MatrixD>& e) {
-    e.emit(static_cast<long>(s.begin), linalg::MatrixD{});
+    e.emit(static_cast<long>(s.begin), {});
   };
   spec.combine = [](const linalg::MatrixD& a, const linalg::MatrixD& b) {
     // Row-block keys are unique; defensively keep the larger block.

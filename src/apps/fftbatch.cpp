@@ -57,7 +57,7 @@ FftBatchSpec fft_batch_spec(std::shared_ptr<FftBatchState> state,
   spec.modeled_map =
       [](const core::InputSlice& s,
          core::Emitter<long, std::vector<linalg::Complex>>& e) {
-        e.emit(static_cast<long>(s.begin), std::vector<linalg::Complex>{});
+        e.emit(static_cast<long>(s.begin), {});
       };
   spec.combine = [](const std::vector<linalg::Complex>& a,
                     const std::vector<linalg::Complex>& b) {

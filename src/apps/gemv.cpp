@@ -68,7 +68,7 @@ GemvSpec gemv_spec(std::shared_ptr<GemvState> state, std::size_t cols) {
   };
   spec.modeled_map = [](const core::InputSlice& s,
                         core::Emitter<long, std::vector<double>>& e) {
-    e.emit(static_cast<long>(s.begin), std::vector<double>{});
+    e.emit(static_cast<long>(s.begin), {});
   };
   spec.combine = [](const std::vector<double>& a,
                     const std::vector<double>& b) {

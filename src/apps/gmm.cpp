@@ -252,10 +252,8 @@ GmmSpec gmm_spec(std::shared_ptr<GmmState> state, const GmmParams& params,
   };
   spec.modeled_map = [state](const core::InputSlice&,
                              core::Emitter<int, std::vector<double>>& e) {
-    const std::size_t m = state->model.means.rows();
-    const std::size_t d = state->model.means.cols();
-    for (std::size_t j = 0; j < m; ++j) {
-      e.emit(static_cast<int>(j), std::vector<double>(2 * d + 2, 0.0));
+    for (std::size_t j = 0; j < state->model.means.rows(); ++j) {
+      e.emit(static_cast<int>(j), {});
     }
   };
   spec.combine = [](const std::vector<double>& a,

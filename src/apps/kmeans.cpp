@@ -174,8 +174,7 @@ KmeansSpec kmeans_spec(std::shared_ptr<KmeansState> state,
   spec.modeled_map = [state](const core::InputSlice&,
                              core::Emitter<int, std::vector<double>>& e) {
     for (std::size_t j = 0; j < state->centers.rows(); ++j) {
-      e.emit(static_cast<int>(j),
-             std::vector<double>(state->centers.cols() + 2, 0.0));
+      e.emit(static_cast<int>(j), {});
     }
   };
   spec.combine = [](const std::vector<double>& a,

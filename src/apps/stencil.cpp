@@ -114,7 +114,7 @@ StencilSpec stencil_spec(std::shared_ptr<StencilState> state,
   };
   spec.modeled_map = [](const core::InputSlice& s,
                         core::Emitter<long, std::vector<double>>& e) {
-    e.emit(static_cast<long>(s.begin), std::vector<double>{0.0});
+    e.emit(static_cast<long>(s.begin), {});
   };
   spec.combine = [](const std::vector<double>& a,
                     const std::vector<double>& b) {

@@ -177,7 +177,7 @@ WordCountSpec wordcount_spec(std::shared_ptr<const Corpus> corpus) {
   };
   spec.modeled_map = [](const core::InputSlice&,
                         core::Emitter<std::string, long>& e) {
-    e.emit("word0", 0);
+    e.emit("word0", {});
   };
   spec.combine = [](const long& a, const long& b) { return a + b; };
 

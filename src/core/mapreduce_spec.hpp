@@ -58,12 +58,14 @@ struct MapReduceSpec {
   /// CUDA map implementation (gpu_device/gpu_host_mapreduce). Defaults to
   /// cpu_map when empty.
   MapFn gpu_map;
-  /// Cheap stand-in used in ExecutionMode::kModeled: must emit pairs of the
-  /// right *shape* (same keys) without touching real data. Defaults to
-  /// emitting nothing.
+  /// Cheap stand-in used in ExecutionMode::kModeled. Contract: emit the
+  /// right keys (one pair per pair the real map would emit); values are
+  /// ignored and never combined, so emit `{}`. Pair counts, and with them
+  /// every byte and second charged, come from the keys alone. Touches no
+  /// real data. Defaults to emitting nothing.
   MapFn modeled_map;
   /// Associative + commutative combiner (required): used node-locally
-  /// before the shuffle and as the reduce operator.
+  /// before the shuffle and as the reduce operator. Functional mode only.
   CombineFn combine;
   /// Run the combiner node-locally before the shuffle (the paper's
   /// optional combiner(), Table 1). Disabling it ships every raw emitted

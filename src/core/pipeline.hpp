@@ -286,10 +286,16 @@ inline sim::Process block_dispatcher(
 }
 
 /// Merges emitted pairs into an ordered map with the spec's combiner
-/// (the node-local combine step; also used for the reduce merge).
+/// (the node-local combine step; also used for the reduce merge). Modeled
+/// stand-ins carry keys only (MapReduceSpec::modeled_map): there the merge
+/// records each key with a value-initialised value and never combines.
 template <typename K, typename V>
-void combine_into(const MapReduceSpec<K, V>& spec, std::map<K, V>& acc,
-                  std::vector<std::pair<K, V>>& pairs) {
+void combine_into(const MapReduceSpec<K, V>& spec, ExecutionMode mode,
+                  std::map<K, V>& acc, std::vector<std::pair<K, V>>& pairs) {
+  if (mode != ExecutionMode::kFunctional) {
+    for (auto& kv : pairs) acc.try_emplace(std::move(kv.first));
+    return;
+  }
   for (auto& [k, v] : pairs) {
     auto it = acc.find(k);
     if (it == acc.end()) {
@@ -493,7 +499,7 @@ class ShuffleStage {
       std::map<K, V> combined;
       for (auto& e : batch.emitters) {
         st.intermediate_pairs += e.size();
-        combine_into(spec, combined, e.pairs());
+        combine_into(spec, st.cfg.mode, combined, e.pairs());
       }
       for (auto& [k, v] : combined) {
         buckets[std::hash<K>{}(k) % dests].emplace_back(k, std::move(v));
@@ -571,7 +577,7 @@ class ReduceStage {
       if (!m.has_payload()) continue;
       auto& pairs = *m.template payload_as<Payload>();
       reduce_pairs += pairs.size();
-      combine_into(ctx_.spec(), reduced, pairs);
+      combine_into(ctx_.spec(), ctx_.st->cfg.mode, reduced, pairs);
     }
     return reduced;
   }

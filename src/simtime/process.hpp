@@ -30,6 +30,7 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 
 #include "simtime/simulator.hpp"
@@ -41,6 +42,7 @@ class Process {
  public:
   struct promise_type {
     Simulator* sim = nullptr;
+    std::size_t slot = 0;  // index in the simulator's live list
 
     Process get_return_object() {
       return Process(std::coroutine_handle<promise_type>::from_promise(*this));
@@ -54,7 +56,7 @@ class Process {
         // Hand the frame to the simulator for deferred destruction; the
         // frame is still executing this very suspend, so it cannot be
         // destroyed inline.
-        h.promise().sim->retire(h.address());
+        h.promise().sim->retire(h.address(), h.promise().slot);
       }
       void await_resume() const noexcept {}
     };

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/error.hpp"
@@ -79,7 +78,7 @@ class Simulator {
   std::uint64_t events_dispatched() const { return dispatched_; }
 
   /// True when no events are pending.
-  bool idle() const { return queue_.empty(); }
+  bool idle() const { return events_.empty(); }
 
   /// Observability hook: the attached trace recorder, or nullptr (default).
   /// Instrumented layers fetch this per operation, so tracing costs one
@@ -95,14 +94,15 @@ class Simulator {
 
   // -- internal: used by process/future machinery ---------------------------
 
-  /// Takes ownership of a finished coroutine frame; destroyed after the
-  /// current event completes (the frame is still live while unwinding).
-  void retire(void* coroutine_address);
+  /// Takes ownership of a finished coroutine frame spawned into live-list
+  /// slot `slot`; destroyed after the current event completes (the frame
+  /// is still live while unwinding).
+  void retire(void* coroutine_address, std::size_t slot);
 
   /// Number of spawned processes whose frames are still live (suspended or
   /// running). Daemons that block on a channel forever count until the
   /// simulator destroys their frames at teardown.
-  std::size_t live_processes() const { return live_.size(); }
+  std::size_t live_processes() const { return live_count_; }
 
   /// Records an exception that escaped a process; rethrown from run().
   void record_exception(std::exception_ptr e);
@@ -121,18 +121,25 @@ class Simulator {
   };
 
   void drain_zombies();
+  void compact_live();
   void maybe_rethrow();
 
   Time now_ = 0.0;
   obs::TraceRecorder* tracer_ = nullptr;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  // Binary min-heap on (time, seq) under EventOrder (std::push_heap /
+  // std::pop_heap), so step() can move the next event out instead of
+  // copying it from a const top().
+  std::vector<Event> events_;
   std::vector<void*> zombies_;
-  // Frames of spawned processes that have not finished yet, in spawn order
-  // (deterministic teardown). Mostly eternal daemons waiting on a channel;
+  // Frames of spawned processes in spawn order (deterministic teardown);
+  // a finished frame leaves a nullptr tombstone in its slot, which its
+  // promise records, and compact_live() squeezes the tombstones out once
+  // half the slots are dead. Mostly eternal daemons waiting on a channel;
   // shutdown() destroys them so they cannot leak.
   std::vector<void*> live_;
+  std::size_t live_count_ = 0;
   bool shut_down_ = false;
   std::exception_ptr pending_exception_;
   PayloadQueue payloads_;

@@ -3,6 +3,7 @@
 // scheduling modes, backend selection, and the iterative driver.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 
 #include "core/cluster.hpp"
@@ -294,6 +295,43 @@ TEST(RunJob, ModeledMapPreservesShape) {
   cfg.mode = ExecutionMode::kModeled;
   auto res = run_job(cluster, spec, cfg, 10000);
   EXPECT_EQ(res.output.size(), static_cast<std::size_t>(kKeys));
+}
+
+TEST(RunJob, ModeledModeNeverCombines) {
+  // Stand-ins carry keys only: neither the local combine nor the reduce
+  // merge may call the combiner, and the stats must match a run whose
+  // combiner is real.
+  auto run = [](bool combine_locally, bool poisoned) {
+    sim::Simulator simu;
+    Cluster cluster(simu, 3, NodeConfig{});
+    auto spec = toy_spec();
+    spec.local_combine = combine_locally;
+    spec.modeled_map = [](const InputSlice&, Emitter<int, long>& e) {
+      for (int k = 0; k < kKeys; ++k) e.emit(k, {});
+    };
+    if (poisoned) {
+      spec.combine = [](const long&, const long&) -> long {
+        PRS_CHECK(false, "modeled mode called the combiner");
+        return 0;
+      };
+    }
+    JobConfig cfg;
+    cfg.mode = ExecutionMode::kModeled;
+    return run_job(cluster, spec, cfg, 20000);
+  };
+  for (const bool combine_locally : {true, false}) {
+    const auto poisoned = run(combine_locally, true);
+    const auto real = run(combine_locally, false);
+    EXPECT_EQ(poisoned.output.size(), static_cast<std::size_t>(kKeys));
+    EXPECT_EQ(poisoned.output, real.output);
+    EXPECT_GT(poisoned.stats.intermediate_pairs,
+              static_cast<std::uint64_t>(kKeys));
+    visit_stats_fields2(poisoned.stats, real.stats,
+                        [&](const char* name, const auto& a, const auto& b) {
+                          EXPECT_EQ(a, b) << name << " (local combine "
+                                          << combine_locally << ")";
+                        });
+  }
 }
 
 TEST(RunJob, MoreNodesShortenElapsedTime) {

@@ -16,13 +16,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "apps/cmeans.hpp"
+#include "ckpt/codec.hpp"
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
+#include "core/job_runner.hpp"
 #include "core/schedule_policy.hpp"
 #include "exec/thread_pool.hpp"
 #include "svc/job_spec.hpp"
@@ -82,6 +86,9 @@ svc::LaunchOutcome run_spec(svc::JobSpec spec, int threads) {
   core::JobConfig cfg = spec.job_config();
   auto policy = core::make_policy(spec.policy);
   cfg.policy = policy.get();
+  // Holds the fault injector a fault_spec asks for (none otherwise).
+  const svc::JobResources resources =
+      svc::make_job_resources(spec, simu, cfg);
   Rng rng(spec.seed);
   svc::LaunchOutcome out =
       svc::run_job_spec(spec, cluster, node, cfg, rng, nullptr);
@@ -197,6 +204,130 @@ TEST(PayloadBatching, WordcountOpensFarFewerPoolRegionsThanMapTasks) {
   EXPECT_LE(10 * regions, out.stats.map_tasks)
       << regions << " pool regions for " << out.stats.map_tasks
       << " map tasks";
+}
+
+// -- modeled runs ---------------------------------------------------------------
+//
+// A modeled run's digest hashes its JobStats: pair counts, bytes on the
+// wire and virtual times, never an intermediate value. These pins were
+// recorded while the stand-ins still emitted and combined zero-filled
+// partials; stand-ins that emit only keys must reproduce them byte for
+// byte.
+
+/// Small paper-shaped modeled spec of `app` on two to four nodes.
+svc::JobSpec modeled_spec(const std::string& app) {
+  svc::JobSpec spec;
+  spec.app = app;
+  spec.functional = false;
+  if (app == "cmeans" || app == "kmeans") {
+    spec.nodes = 4;
+    spec.points = 40000;
+    spec.dims = 20;
+    spec.clusters = 8;
+    spec.iterations = 3;
+  } else if (app == "gmm") {
+    spec.nodes = 3;
+    spec.points = 30000;
+    spec.dims = 10;
+    spec.clusters = 4;
+    spec.iterations = 3;
+  } else if (app == "gemv") {
+    spec.nodes = 2;
+    spec.rows = 8000;
+    spec.cols = 2000;
+  } else if (app == "dgemm") {
+    spec.nodes = 2;
+    spec.rows = 512;
+    spec.cols = 512;
+    spec.dims = 256;
+  } else if (app == "fft") {
+    spec.nodes = 2;
+    spec.points = 256;
+    spec.cols = 256;
+  } else if (app == "wordcount") {
+    spec.nodes = 2;
+    spec.points = 2000;  // corpus lines
+  }
+  return spec;
+}
+
+/// The modeled cases: every app that runs modeled, dynamic dispatch, and
+/// the fault-tolerant path (engaged by any fault clause).
+svc::JobSpec modeled_case(const std::string& key) {
+  const auto slash = key.find('/');
+  svc::JobSpec spec = modeled_spec(key.substr(0, slash));
+  const std::string variant =
+      slash == std::string::npos ? "" : key.substr(slash + 1);
+  if (variant == "dynamic") {
+    spec.policy = "dynamic";
+  } else if (variant == "faults") {
+    spec.fault_spec = "task_error:node1:p=0.1;slow_node:node2:x3";
+  }
+  return spec;
+}
+
+const std::map<std::string, Pin>& modeled_pins() {
+  static const std::map<std::string, Pin> pins = {
+      {"cmeans", {"f7267311ab85f20f", 1.2055559341163837}},
+      {"cmeans/dynamic", {"42d59bdd8cb05d74", 1.2055332013022486}},
+      {"cmeans/faults", {"1ac3726535d18f8f", 1.2775278119689817}},
+      {"cmeans/no-local-combine", {"e643a3c599511395", 1.2018542900039157}},
+      {"kmeans", {"2badb2682b16725e", 1.2053503650834749}},
+      {"gmm", {"67230351ba9175df", 1.2052757990184317}},
+      {"gmm/faults", {"54bb175a569d86b0", 1.2413825232023905}},
+      {"gemv", {"a36fb7a9ff07c39f", 1.2022149728867486}},
+      {"dgemm", {"4a70a662c41f0098", 1.2028264731694469}},
+      {"fft", {"80091ebd7d32d437", 1.2022772881859021}},
+      {"wordcount", {"477cc126594a7483", 1.201667418825451}},
+  };
+  return pins;
+}
+
+/// The launcher's modeled digest, for jobs run straight through run_job.
+std::string stats_digest(const core::JobStats& stats) {
+  ckpt::Hasher h;
+  core::visit_stats_fields(stats, [&h](const char*, const auto& value) {
+    h.f64(static_cast<double>(value));
+  });
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h.value()));
+  return buf;
+}
+
+TEST(ModeledPins, JobStatsByteIdenticalForEveryModeledApp) {
+  for (const char* key :
+       {"cmeans", "cmeans/dynamic", "cmeans/faults", "kmeans", "gmm",
+        "gmm/faults", "gemv", "dgemm", "fft", "wordcount"}) {
+    const svc::LaunchOutcome out = run_spec(modeled_case(key), 2);
+    EXPECT_EQ(out.stats.task_retries > 0,
+              std::string(key).find("faults") != std::string::npos)
+        << key;
+    const Pin& pin = modeled_pins().at(key);
+    EXPECT_EQ(out.digest, pin.digest) << key;
+    EXPECT_EQ(out.stats.elapsed, pin.elapsed) << key;
+  }
+}
+
+// Without the node-local combiner every raw stand-in pair is shuffled and
+// the reduce-side merge sees repeated keys from every map task.
+TEST(ModeledPins, WithoutLocalCombineByteIdentical) {
+  exec::ThreadPool::instance().configure(2);
+  sim::Simulator simu;
+  core::Cluster cluster(simu, 3, svc::JobSpec{}.node_config());
+  apps::CmeansParams params;
+  params.clusters = 6;
+  auto state = std::make_shared<apps::CmeansState>();
+  state->centers = linalg::MatrixD(6, 16, 0.0);
+  apps::CmeansSpec spec = apps::cmeans_spec(state, params, 16);
+  spec.local_combine = false;
+  core::JobConfig cfg;
+  cfg.mode = core::ExecutionMode::kModeled;
+  const auto res = core::run_job(cluster, spec, cfg, 30000);
+  EXPECT_EQ(res.output.size(), 6u);
+  const Pin& pin = modeled_pins().at("cmeans/no-local-combine");
+  EXPECT_EQ(stats_digest(res.stats), pin.digest);
+  EXPECT_EQ(res.stats.elapsed, pin.elapsed);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, EngineDeterminism,

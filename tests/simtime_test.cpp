@@ -641,5 +641,110 @@ TEST(Simulator, ShutdownIsAnExplicitIdempotentTeardown) {
   EXPECT_THROW(sim.spawn(eternal_daemon(ch, &destroyed)), Error);
 }
 
+// -- live-list bookkeeping and event ownership --------------------------------
+
+struct OrderGuard {
+  std::vector<int>* log;
+  int id;
+  ~OrderGuard() { log->push_back(id); }
+};
+
+Process logged_daemon(Channel<int>& ch, std::vector<int>* log, int id) {
+  OrderGuard guard{log, id};
+  for (;;) {
+    auto v = co_await ch.recv();
+    if (!v) break;
+  }
+}
+
+Process finishes_after(Simulator& sim, double dt) { co_await delay(sim, dt); }
+
+/// Spawns `rounds` x 40 processes, one eternal daemon in five, running the
+/// simulator after each round; returns the daemons' ids in spawn order.
+/// The finished four in five leave enough dead slots to compact the live
+/// list several times.
+std::vector<int> spawn_interleaved(Simulator& sim, Channel<int>& ch,
+                                   std::vector<int>* log, int rounds) {
+  std::vector<int> daemons;
+  for (int round = 0; round < rounds; ++round) {
+    for (int i = 0; i < 40; ++i) {
+      if (i % 5 == 2) {
+        const int id = static_cast<int>(daemons.size());
+        daemons.push_back(id);
+        sim.spawn(logged_daemon(ch, log, id));
+      } else {
+        sim.spawn(finishes_after(sim, 1e-3 * (i % 3)));
+      }
+    }
+    sim.run();
+    EXPECT_EQ(sim.live_processes(), daemons.size()) << "round " << round;
+  }
+  return daemons;
+}
+
+TEST(Simulator, LiveCountExactAcrossCompactions) {
+  std::vector<int> log;
+  Simulator sim;
+  Channel<int> ch(sim);
+  const std::vector<int> daemons = spawn_interleaved(sim, ch, &log, 6);
+  EXPECT_TRUE(log.empty());
+  // Every daemon finishes normally now: each must find its (possibly
+  // compacted) slot, or the count would stay up.
+  ch.close();
+  sim.run();
+  EXPECT_EQ(sim.live_processes(), 0u);
+  EXPECT_EQ(log.size(), daemons.size());
+  // Fresh spawns after a full drain are tracked from scratch.
+  sim.spawn(finishes_after(sim, 1.0));
+  EXPECT_EQ(sim.live_processes(), 1u);
+  sim.run();
+  EXPECT_EQ(sim.live_processes(), 0u);
+}
+
+TEST(Simulator, ShutdownDestroysSurvivorsInReverseSpawnOrder) {
+  std::vector<int> log;
+  Simulator sim;
+  Channel<int> ch(sim);
+  const std::vector<int> daemons = spawn_interleaved(sim, ch, &log, 4);
+  sim.shutdown();
+  EXPECT_EQ(sim.live_processes(), 0u);
+  const std::vector<int> reversed(daemons.rbegin(), daemons.rend());
+  EXPECT_EQ(log, reversed);
+}
+
+TEST(Simulator, DispatchReleasesTheCallableExactlyOnce) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  long during = 0;
+  sim.schedule_at(1.0, [token, &during] { during = token.use_count(); });
+  EXPECT_EQ(token.use_count(), 2);
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(during, 2);  // only the running event holds a second reference
+  EXPECT_EQ(token.use_count(), 1);  // released as soon as it has run
+}
+
+/// Callable that counts its copies (moves are free).
+struct CopyCounter {
+  int* copies;
+  explicit CopyCounter(int* c) : copies(c) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies) { ++*copies; }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  CopyCounter& operator=(CopyCounter&&) = delete;
+  void operator()() const {}
+};
+
+TEST(Simulator, DispatchNeverCopiesTheCallable) {
+  Simulator sim;
+  int copies = 0;
+  // Out-of-order times reshuffle the heap on every push and pop.
+  for (int i = 0; i < 64; ++i) {
+    sim.schedule_at(static_cast<double>((i * 37) % 64), CopyCounter(&copies));
+  }
+  sim.run();
+  EXPECT_EQ(sim.events_dispatched(), 64u);
+  EXPECT_EQ(copies, 0);
+}
+
 }  // namespace
 }  // namespace prs::sim
